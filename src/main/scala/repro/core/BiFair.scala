@@ -48,25 +48,9 @@ object BiFair {
     */
   def expandLeft(g: BipartiteGraph, p: FairParams, ssfbc: Biclique,
                  proportional: Boolean): Vector[Biclique] = {
-    val out    = Vector.newBuilder[Biclique]
-    val byAttr = Array.fill(g.nAttrU)(new scala.collection.mutable.ArrayBuffer[Int]())
-    ssfbc.left.foreach(u => byAttr(g.attrU(u)) += u)
-    val grouped = byAttr.map(_.toArray)
-    val sizes   = grouped.map(_.length)
-    if (sizes.exists(_ < p.alpha) || sizes.exists(_ == 0)) return Vector.empty
-
-    val profile =
-      if (proportional) FairSet.maximalProfilePro(sizes, p.delta, p.theta)
-      else FairSet.maximalProfile(sizes, p.delta)
-    val count = FairSet.combinationCount(sizes, profile)
-    require(count <= FairBCEMpp.MaxCombinationsPerBiclique,
-      s"Combination explosion on the upper side: $count subsets " +
-      s"(classes ${sizes.mkString("x")}); choose stricter parameters")
-
+    val out     = Vector.newBuilder[Biclique]
+    val combos  = FairSet.maximalFairSubsets(ssfbc.left, g.attrU, g.nAttrU, p.alpha, p, proportional)
     val rCounts = FairSet.counts(ssfbc.right, g.attrV, g.nAttrV)
-    val combos =
-      if (proportional) FairSet.combinationPro(grouped, p.alpha, p.delta, p.theta)
-      else FairSet.combination(grouped, p.alpha, p.delta)
     combos.foreach { lPrime =>
       // R' must be a maximal fair subset of N(l') (count-level suffices:
       // elements of one class are interchangeable).

@@ -25,78 +25,85 @@ object FCore {
     */
   def fairCore(g: BipartiteGraph, alpha: Int, beta: Int,
                initU: Option[Array[Boolean]] = None,
-               initV: Option[Array[Boolean]] = None): Alive = {
-    val aliveU = initU.map(_.clone()).getOrElse(Array.fill(g.nU)(true))
-    val aliveV = initV.map(_.clone()).getOrElse(Array.fill(g.nV)(true))
-
-    // attrDeg(u)(a): #alive V-neighbours of u with attribute a; degV(v): #alive U-neighbours.
-    val attrDeg = Array.tabulate(g.nU) { u =>
-      val c = new Array[Int](g.nAttrV)
-      if (aliveU(u)) g.adjU(u).foreach(v => if (aliveV(v)) c(g.attrV(v)) += 1)
-      c
-    }
-    val degV = Array.tabulate(g.nV)(v => if (aliveV(v)) g.adjV(v).count(aliveU(_)) else 0)
-
-    val queueU = scala.collection.mutable.Queue.empty[Int]
-    val queueV = scala.collection.mutable.Queue.empty[Int]
-    for (u <- 0 until g.nU if aliveU(u) && attrDeg(u).min < beta) { aliveU(u) = false; queueU += u }
-    for (v <- 0 until g.nV if aliveV(v) && degV(v) < alpha)       { aliveV(v) = false; queueV += v }
-
-    while (queueU.nonEmpty || queueV.nonEmpty) {
-      if (queueU.nonEmpty) {
-        val u = queueU.dequeue()
-        for (v <- g.adjU(u) if aliveV(v)) {
-          degV(v) -= 1
-          if (degV(v) < alpha) { aliveV(v) = false; queueV += v }
-        }
-      } else {
-        val v = queueV.dequeue()
-        for (u <- g.adjV(v) if aliveU(u)) {
-          attrDeg(u)(g.attrV(v)) -= 1
-          if (attrDeg(u).min < beta) { aliveU(u) = false; queueU += u }
-        }
-      }
-    }
-    Alive(aliveU, aliveV)
-  }
+               initV: Option[Array[Boolean]] = None): Alive =
+    peel(g, alpha, beta, new Array[Int](g.nU), 1, initU, initV)
 
   /** Bi-fair α-β core (Def 13, `BFCore`): like `fairCore` but V-vertices are
     * peeled on their minimum attribute degree over U-attributes (< α).
     */
   def biFairCore(g: BipartiteGraph, alpha: Int, beta: Int,
                  initU: Option[Array[Boolean]] = None,
-                 initV: Option[Array[Boolean]] = None): Alive = {
+                 initV: Option[Array[Boolean]] = None): Alive =
+    peel(g, alpha, beta, g.attrU, g.nAttrU, initU, initV)
+
+  /** The peel of both cores. U-vertices need ≥ β alive neighbours of every
+    * V attribute; V-vertices need ≥ α alive neighbours of every class of
+    * `classU` (one class: plain degree; the U attributes: Def 13).
+    */
+  private def peel(g: BipartiteGraph, alpha: Int, beta: Int, classU: Array[Int], nClassU: Int,
+                   initU: Option[Array[Boolean]], initV: Option[Array[Boolean]]): Alive = {
     val aliveU = initU.map(_.clone()).getOrElse(Array.fill(g.nU)(true))
     val aliveV = initV.map(_.clone()).getOrElse(Array.fill(g.nV)(true))
+    val nA     = g.nAttrV
 
-    val attrDegU = Array.tabulate(g.nU) { u =>
-      val c = new Array[Int](g.nAttrV)
-      if (aliveU(u)) g.adjU(u).foreach(v => if (aliveV(v)) c(g.attrV(v)) += 1)
-      c
+    // degU(u·nA + a): alive V-neighbours of u with attribute a;
+    // degV(v·nClassU + c): alive U-neighbours of v in class c.
+    val degU = new Array[Int](g.nU * nA)
+    val degV = new Array[Int](g.nV * nClassU)
+    var u = 0
+    while (u < g.nU) {
+      if (aliveU(u)) g.adjU(u).foreach(v => if (aliveV(v)) degU(u * nA + g.attrV(v)) += 1)
+      u += 1
     }
-    val attrDegV = Array.tabulate(g.nV) { v =>
-      val c = new Array[Int](g.nAttrU)
-      if (aliveV(v)) g.adjV(v).foreach(u => if (aliveU(u)) c(g.attrU(u)) += 1)
-      c
+    var v = 0
+    while (v < g.nV) {
+      if (aliveV(v)) g.adjV(v).foreach(w => if (aliveU(w)) degV(v * nClassU + classU(w)) += 1)
+      v += 1
     }
 
-    val queueU = scala.collection.mutable.Queue.empty[Int]
-    val queueV = scala.collection.mutable.Queue.empty[Int]
-    for (u <- 0 until g.nU if aliveU(u) && attrDegU(u).min < beta) { aliveU(u) = false; queueU += u }
-    for (v <- 0 until g.nV if aliveV(v) && attrDegV(v).min < alpha) { aliveV(v) = false; queueV += v }
+    // Removed vertices, U as u and V as nU + v; each enters once.
+    val queue = new Array[Int](g.nU + g.nV)
+    var tail  = 0
+    def below(deg: Array[Int], row: Int, n: Int, k: Int): Boolean = {
+      var c = 0
+      while (c < n && deg(row * n + c) >= k) c += 1
+      c < n
+    }
+    u = 0
+    while (u < g.nU) {
+      if (aliveU(u) && below(degU, u, nA, beta)) { aliveU(u) = false; queue(tail) = u; tail += 1 }
+      u += 1
+    }
+    v = 0
+    while (v < g.nV) {
+      if (aliveV(v) && below(degV, v, nClassU, alpha)) { aliveV(v) = false; queue(tail) = g.nU + v; tail += 1 }
+      v += 1
+    }
 
-    while (queueU.nonEmpty || queueV.nonEmpty) {
-      if (queueU.nonEmpty) {
-        val u = queueU.dequeue()
-        for (v <- g.adjU(u) if aliveV(v)) {
-          attrDegV(v)(g.attrU(u)) -= 1
-          if (attrDegV(v).min < alpha) { aliveV(v) = false; queueV += v }
+    // An alive vertex has every class count at or above its threshold, so
+    // only the decremented class can drop it below.
+    var head = 0
+    while (head < tail) {
+      val x = queue(head); head += 1
+      if (x < g.nU) {
+        val ns = g.adjU(x); var j = 0
+        while (j < ns.length) {
+          val w = ns(j); val i = w * nClassU + classU(x)
+          if (aliveV(w)) {
+            degV(i) -= 1
+            if (degV(i) < alpha) { aliveV(w) = false; queue(tail) = g.nU + w; tail += 1 }
+          }
+          j += 1
         }
       } else {
-        val v = queueV.dequeue()
-        for (u <- g.adjV(v) if aliveU(u)) {
-          attrDegU(u)(g.attrV(v)) -= 1
-          if (attrDegU(u).min < beta) { aliveU(u) = false; queueU += u }
+        val ns = g.adjV(x - g.nU); val a = g.attrV(x - g.nU); var j = 0
+        while (j < ns.length) {
+          val w = ns(j); val i = w * nA + a
+          if (aliveU(w)) {
+            degU(i) -= 1
+            if (degU(i) < beta) { aliveU(w) = false; queue(tail) = w; tail += 1 }
+          }
+          j += 1
         }
       }
     }

@@ -42,36 +42,22 @@ object FairBCEM {
                   ordering: VertexOrdering, naive: Boolean,
                   timeoutMs: Long = 0): Vector[Biclique] = {
     val deadline = if (timeoutMs <= 0) Long.MaxValue else System.nanoTime() + timeoutMs * 1000000L
-    val out      = Vector.newBuilder[Biclique]
-    val searcher = new Searcher(g, alive, p, naive, deadline)
-    val roots    = searcher.roots(ordering)
-    var i = 0
-    while (i < roots.length) { searcher.runRoot(roots, i, out += _); i += 1 }
-    out.result()
+    new Searcher(g, alive, p, naive, deadline).enumerate(ordering)
   }
 
-  /** One search instance over a fixed pruned graph. Thread-safe per call:
-    * `runRoot` allocates only local state, so distinct roots can run in
-    * distinct Spark tasks against a broadcast `Searcher`.
+  /** One search instance over a fixed pruned graph. Alg 5 has no C-set:
+    * `runRoot` always returns an empty one, so the sequential driver runs
+    * every root.
     */
-  final class Searcher(val g: BipartiteGraph, val alive: FCore.Alive,
+  final class Searcher(g: BipartiteGraph, alive: FCore.Alive,
                        val p: FairParams, val naive: Boolean,
-                       val deadlineNanos: Long = Long.MaxValue) extends Serializable {
+                       val deadlineNanos: Long = Long.MaxValue) extends RootSearch(g, alive) {
 
-    private val allU: Array[Int] = (0 until g.nU).filter(alive.u(_)).toArray
-
-    def roots(ordering: VertexOrdering): Array[Int] = {
-      val vs = (0 until g.nV).filter(alive.v(_)).toArray
-      ordering.order(vs, g.degV)
-    }
-
-    /** Run the subproblem rooted at `roots(i)`: R = {x}, L = N(x) ∩ Û,
-      * P = later roots, Q = earlier roots — exactly the state the
-      * sequential loop of Alg 5 would pass.
-      */
-    def runRoot(roots: Array[Int], i: Int, out: Biclique => Unit): Unit =
+    def runRoot(roots: Array[Int], i: Int, out: Biclique => Unit): Array[Int] = {
       processNode(roots(i), allU, Nil, new Array[Int](g.nAttrV),
                   roots.drop(i + 1), roots.take(i), out)
+      Array.emptyIntArray
+    }
 
     /** Lines 7-28 of Alg 5 for branching vertex `x`.
       *

@@ -12,11 +12,6 @@ import repro.graph.{BipartiteGraph, SortedOps}
   */
 object FairBCEMpp {
 
-  /** Guard against the intrinsic combinatorial blow-up of Alg 7 on a
-    * pathologically large maximal biclique: fail loudly instead of hanging.
-    */
-  val MaxCombinationsPerBiclique: Long = 20_000_000L
-
   def enumerate(g0: BipartiteGraph, p: FairParams,
                 ordering: VertexOrdering = VertexOrdering.DegOrd,
                 proportional: Boolean = false): Vector[Biclique] = {
@@ -25,111 +20,29 @@ object FairBCEMpp {
   }
 
   def enumerateOn(g: BipartiteGraph, alive: FCore.Alive, p: FairParams,
-                  ordering: VertexOrdering, proportional: Boolean): Vector[Biclique] = {
-    val out      = Vector.newBuilder[Biclique]
-    val searcher = new Searcher(g, alive, p, proportional)
-    val roots    = searcher.roots(ordering)
-    // Sequential driver honouring the C-set (line 31-32): roots absorbed by
-    // an earlier sibling's C are skipped (their subtrees are duplicates).
-    val skip = new java.util.HashSet[Integer]()
-    var i = 0
-    while (i < roots.length) {
-      if (!skip.contains(roots(i))) {
-        val c = searcher.runRoot(roots, i, out += _)
-        c.foreach(v => skip.add(v))
-      }
-      i += 1
-    }
-    out.result()
-  }
+                  ordering: VertexOrdering, proportional: Boolean): Vector[Biclique] =
+    new Searcher(g, alive, p, proportional).enumerate(ordering)
 
-  final class Searcher(val g: BipartiteGraph, val alive: FCore.Alive,
-                       val p: FairParams, val proportional: Boolean) extends Serializable {
+  /** The iMBEA kernel with fair output at each maximal biclique and the
+    * per-attribute β bound on the candidate pool (second half of
+    * Observation 5). Root-parallel runs use Q = all earlier roots, a
+    * superset of the sequential Q that is safe and duplicate-free — see
+    * DESIGN.md §3.
+    */
+  final class Searcher(g: BipartiteGraph, alive: FCore.Alive,
+                       val p: FairParams, val proportional: Boolean) extends IMBEA(g, alive, p.alpha) {
 
-    private val allU: Array[Int] = (0 until g.nU).filter(alive.u(_)).toArray
-
-    def roots(ordering: VertexOrdering): Array[Int] = {
-      val vs = (0 until g.nV).filter(alive.v(_)).toArray
-      ordering.order(vs, g.degV)
+    protected def atMaximal(l1: Array[Int], r1: List[Int], rc1: Array[Int], out: Biclique => Unit): Unit = {
+      val fair =
+        if (proportional) FairSet.isProportionFairCounts(rc1, p.beta, p.delta, p.theta)
+        else FairSet.isFairCounts(rc1, p.beta, p.delta)
+      if (fair) out(Biclique.of(l1, r1)) else emitFairSubsets(l1, r1, out)
     }
 
-    /** Run the root subproblem `roots(i)` with Q = all earlier roots (a
-      * superset of the sequential Q that is safe and duplicate-free — see
-      * DESIGN.md §3) and return the C-set of top-level absorbed roots.
-      */
-    def runRoot(roots: Array[Int], i: Int, out: Biclique => Unit): Array[Int] =
-      processNode(roots(i), allU, Nil, new Array[Int](g.nAttrV),
-                  roots.drop(i + 1), roots.take(i), out)
-
-    private def rightFair(c: Array[Int]): Boolean =
-      if (proportional) FairSet.isProportionFairCounts(c, p.beta, p.delta, p.theta)
-      else FairSet.isFairCounts(c, p.beta, p.delta)
-
-    /** One node of the Alg 6 search; returns C (x plus absorbed candidates
-      * with no neighbours outside L', line 21) for the caller to retire.
-      */
-    private def processNode(x: Int, l: Array[Int], r: List[Int], rc: Array[Int],
-                            pRest: Array[Int], q: Array[Int], out: Biclique => Unit): Array[Int] = {
-      val cSet = new scala.collection.mutable.ArrayBuffer[Int]()
-      cSet += x
-      val l1 = SortedOps.intersect(l, g.adjV(x))
-      if (l1.length < p.alpha || l1.isEmpty) return cSet.toArray
-
-      // Maximality of the biclique: any visited vertex fully connected to
-      // L' means this biclique (and every descendant) was found before.
-      val q1 = new scala.collection.mutable.ArrayBuffer[Int]()
-      var qi = 0
-      while (qi < q.length) {
-        val u   = q(qi)
-        val cnt = SortedOps.intersectSize(g.adjV(u), l1)
-        if (cnt == l1.length) return cSet.toArray
-        if (cnt > 0) q1 += u
-        qi += 1
-      }
-
-      // Bulk absorption: move candidates fully connected to L' into R';
-      // those with no neighbour in L \ L' can never seed a new maximal
-      // biclique later (their N ⊆ L') and join the C-set.
-      var r1  = x :: r
-      val rc1 = rc.clone(); rc1(g.attrV(x)) += 1
-      val p1  = new scala.collection.mutable.ArrayBuffer[Int]()
-      var pi  = 0
-      while (pi < pRest.length) {
-        val v   = pRest(pi)
-        val cnt = SortedOps.intersectSize(g.adjV(v), l1)
-        if (cnt == l1.length) {
-          r1 = v :: r1
-          rc1(g.attrV(v)) += 1
-          if (SortedOps.intersectSize(g.adjV(v), l) == cnt) cSet += v // N(v)∩(L\L') = ∅
-        } else if (cnt >= p.alpha) p1 += v
-        pi += 1
-      }
-
-      // (L', R') is now a maximal biclique. Extract fair bicliques.
-      if (rightFair(rc1)) {
-        out(Biclique.of(l1, r1))
-      } else {
-        emitFairSubsets(l1, r1, out)
-      }
-
-      if (p1.nonEmpty) {
-        val potential = rc1.clone()
-        p1.foreach(v => potential(g.attrV(v)) += 1)
-        if (potential.forall(_ >= p.beta)) {
-          val pp = p1.toArray
-          val skip = new java.util.HashSet[Integer]()
-          var j = 0
-          while (j < pp.length) {
-            if (!skip.contains(pp(j))) {
-              val c = processNode(pp(j), l1, r1, rc1, pp.drop(j + 1),
-                                  (q1 ++ pp.take(j)).toArray, out)
-              c.foreach(v => skip.add(v))
-            }
-            j += 1
-          }
-        }
-      }
-      cSet.toArray
+    protected def canGrow(rc1: Array[Int], p1: scala.collection.mutable.ArrayBuffer[Int]): Boolean = {
+      val potential = rc1.clone()
+      p1.foreach(v => potential(g.attrV(v)) += 1)
+      potential.forall(_ >= p.beta)
     }
 
     /** Lines 26-28: enumerate maximal fair subsets r' of R' (Alg 7 /
@@ -137,28 +50,14 @@ object FairBCEMpp {
       * L' (otherwise the same r' is found under a larger-L biclique).
       */
     private def emitFairSubsets(l1: Array[Int], r1: List[Int], out: Biclique => Unit): Unit = {
-      val byAttr = Array.fill(g.nAttrV)(new scala.collection.mutable.ArrayBuffer[Int]())
-      r1.foreach(v => byAttr(g.attrV(v)) += v)
-      val grouped = byAttr.map(_.toArray)
-      val sizes   = grouped.map(_.length)
-      if (sizes.exists(_ < p.beta) || sizes.exists(_ == 0)) return
-
-      val profile =
-        if (proportional) FairSet.maximalProfilePro(sizes, p.delta, p.theta)
-        else FairSet.maximalProfile(sizes, p.delta)
-      val count = FairSet.combinationCount(sizes, profile)
-      require(count <= MaxCombinationsPerBiclique,
-        s"Combination explosion: ${count} candidate subsets in one maximal biclique " +
-        s"(classes ${sizes.mkString("x")}, δ=${p.delta}); choose stricter parameters")
+      val combos = FairSet.maximalFairSubsets(r1, g.attrV, g.nAttrV, p.beta, p, proportional)
+      if (!combos.hasNext) return
 
       // ext(v) = N(v) \ L' — r' has N(r') = L' iff the ext sets of its
       // members have empty intersection.
       val ext = new java.util.HashMap[Integer, Array[Int]]()
       r1.foreach(v => ext.put(v, diffSorted(g.adjV(v), l1)))
 
-      val combos =
-        if (proportional) FairSet.combinationPro(grouped, p.beta, p.delta, p.theta)
-        else FairSet.combination(grouped, p.beta, p.delta)
       combos.foreach { rPrime =>
         var acc: Array[Int] = null
         var k = 0

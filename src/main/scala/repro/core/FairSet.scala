@@ -118,6 +118,36 @@ object FairSet {
     acc
   }
 
+  /** Guard against the intrinsic combinatorial blow-up of Alg 7 on a
+    * pathologically large maximal biclique: fail loudly instead of hanging.
+    */
+  val MaxCombinationsPerBiclique: Long = 20_000_000L
+
+  /** The one `Combination` entry point of the searchers: group `members`
+    * by `attr`, then enumerate their maximal fair subsets w.r.t. `(k, δ)`
+    * (`CombinationPro` when `proportional`). Empty when some class has
+    * fewer than `k` members; throws when the subsets would number more
+    * than `MaxCombinationsPerBiclique`.
+    */
+  def maximalFairSubsets(members: Iterable[Int], attr: Array[Int], nAttr: Int, k: Int,
+                         p: FairParams, proportional: Boolean): Iterator[Array[Int]] = {
+    val byAttr = Array.fill(nAttr)(new scala.collection.mutable.ArrayBuffer[Int]())
+    members.foreach(v => byAttr(attr(v)) += v)
+    val grouped = byAttr.map(_.toArray)
+    val sizes   = grouped.map(_.length)
+    if (sizes.exists(_ < k) || sizes.exists(_ == 0)) return Iterator.empty
+
+    val profile =
+      if (proportional) maximalProfilePro(sizes, p.delta, p.theta)
+      else maximalProfile(sizes, p.delta)
+    val count = combinationCount(sizes, profile)
+    require(count <= MaxCombinationsPerBiclique,
+      s"Combination explosion: $count candidate subsets in one set " +
+      s"(classes ${sizes.mkString("x")}, δ=${p.delta}); choose stricter parameters")
+    if (proportional) combinationPro(grouped, k, p.delta, p.theta)
+    else combination(grouped, k, p.delta)
+  }
+
   /** Alg 7 `Combination`: all maximal fair subsets of the elements grouped
     * by attribute in `elemsByAttr`. Emits sorted element arrays. Empty when
     * some class is smaller than `k`.

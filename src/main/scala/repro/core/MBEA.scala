@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.graph.{BipartiteGraph, SortedOps}
+import repro.graph.BipartiteGraph
 
 /** Plain maximal biclique enumeration in the iMBEA style of [6] — the
   * non-fair baseline the paper counts against in Exp-4 (maximal bicliques
@@ -9,82 +9,26 @@ import repro.graph.{BipartiteGraph, SortedOps}
 object MBEA {
 
   def enumerate(g: BipartiteGraph, minL: Int, minR: Int,
-                ordering: VertexOrdering = VertexOrdering.DegOrd): Vector[Biclique] = {
-    val out = Vector.newBuilder[Biclique]
-    drive(g, minL, minR, ordering, out += _)
-    out.result()
-  }
+                ordering: VertexOrdering = VertexOrdering.DegOrd): Vector[Biclique] =
+    new Search(g, minL, minR).enumerate(ordering)
 
   def count(g: BipartiteGraph, minL: Int, minR: Int): Long = {
     var n = 0L
-    drive(g, minL, minR, VertexOrdering.DegOrd, _ => n += 1)
+    new Search(g, minL, minR).enumerate(VertexOrdering.DegOrd, _ => n += 1)
     n
   }
 
-  private def drive(g: BipartiteGraph, minL: Int, minR: Int,
-                    ordering: VertexOrdering, out: Biclique => Unit): Unit = {
-    val allU  = Array.range(0, g.nU).filter(g.degU(_) > 0)
-    val vs    = Array.range(0, g.nV).filter(g.degV(_) > 0)
-    val roots = ordering.order(vs, g.degV)
-    val skip  = new java.util.HashSet[Integer]()
-    var i = 0
-    while (i < roots.length) {
-      if (!skip.contains(roots(i))) {
-        val c = processNode(g, minL, minR, roots(i), allU, Nil, 0,
-                            roots.drop(i + 1), roots.take(i), out)
-        c.foreach(v => skip.add(v))
-      }
-      i += 1
-    }
-  }
+  /** The iMBEA kernel over every vertex with an edge; emits each maximal
+    * biclique with |R| ≥ minR and stops once the pool cannot reach minR.
+    */
+  private final class Search(g: BipartiteGraph, minL: Int, minR: Int)
+      extends IMBEA(g, FCore.Alive(Array.tabulate(g.nU)(g.degU(_) > 0),
+                                   Array.tabulate(g.nV)(g.degV(_) > 0)), minL) {
 
-  private def processNode(g: BipartiteGraph, minL: Int, minR: Int,
-                          x: Int, l: Array[Int], r: List[Int], rSize: Int,
-                          pRest: Array[Int], q: Array[Int],
-                          out: Biclique => Unit): Array[Int] = {
-    val cSet = new scala.collection.mutable.ArrayBuffer[Int]()
-    cSet += x
-    val l1 = SortedOps.intersect(l, g.adjV(x))
-    if (l1.isEmpty || l1.length < minL) return cSet.toArray
+    protected def atMaximal(l: Array[Int], r: List[Int], rc: Array[Int], out: Biclique => Unit): Unit =
+      if (rc.sum >= minR) out(Biclique.of(l, r))
 
-    val q1 = new scala.collection.mutable.ArrayBuffer[Int]()
-    var qi = 0
-    while (qi < q.length) {
-      val cnt = SortedOps.intersectSize(g.adjV(q(qi)), l1)
-      if (cnt == l1.length) return cSet.toArray
-      if (cnt > 0) q1 += q(qi)
-      qi += 1
-    }
-
-    var r1 = x :: r
-    var rSize1 = rSize + 1
-    val p1 = new scala.collection.mutable.ArrayBuffer[Int]()
-    var pi = 0
-    while (pi < pRest.length) {
-      val v   = pRest(pi)
-      val cnt = SortedOps.intersectSize(g.adjV(v), l1)
-      if (cnt == l1.length) {
-        r1 = v :: r1; rSize1 += 1
-        if (SortedOps.intersectSize(g.adjV(v), l) == cnt) cSet += v
-      } else if (cnt >= minL) p1 += v
-      pi += 1
-    }
-
-    if (rSize1 >= minR) out(Biclique.of(l1, r1))
-
-    if (p1.nonEmpty && rSize1 + p1.length >= minR) {
-      val pp = p1.toArray
-      val skip = new java.util.HashSet[Integer]()
-      var j = 0
-      while (j < pp.length) {
-        if (!skip.contains(pp(j))) {
-          val c = processNode(g, minL, minR, pp(j), l1, r1, rSize1,
-                              pp.drop(j + 1), (q1 ++ pp.take(j)).toArray, out)
-          c.foreach(v => skip.add(v))
-        }
-        j += 1
-      }
-    }
-    cSet.toArray
+    protected def canGrow(rc: Array[Int], p: scala.collection.mutable.ArrayBuffer[Int]): Boolean =
+      rc.sum + p.length >= minR
   }
 }

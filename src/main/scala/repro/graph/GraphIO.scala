@@ -42,17 +42,26 @@ object GraphIO {
     def localV(id: Long): Int = vIndex(id)
   }
 
+  /** @throws IllegalArgumentException when a vertex's rows disagree on its
+    *         attribute, or an attribute lies outside `0 until nAttr*`.
+    */
   def toLocal(edges: DataFrame, nAttrU: Int = 2, nAttrV: Int = 2): Localized = {
     val collected = edges.select("u", "v", "uval", "vval").collect()
     val uIds = collected.map(_.getLong(0)).distinct.sorted
     val vIds = collected.map(_.getLong(1)).distinct.sorted
     val uIdx = uIds.zipWithIndex.toMap
     val vIdx = vIds.zipWithIndex.toMap
-    val attrU = new Array[Int](uIds.length)
-    val attrV = new Array[Int](vIds.length)
+    val attrU = Array.fill(uIds.length)(-1)
+    val attrV = Array.fill(vIds.length)(-1)
+    def setAttr(side: String, attr: Array[Int], i: Int, id: Long, a: Int, nAttr: Int): Unit = {
+      require(a >= 0 && a < nAttr, s"$side vertex $id has attribute $a outside 0 until $nAttr")
+      require(attr(i) < 0 || attr(i) == a, s"$side vertex $id has conflicting attributes ${attr(i)} and $a")
+      attr(i) = a
+    }
     val es = collected.map { r =>
       val ui = uIdx(r.getLong(0)); val vi = vIdx(r.getLong(1))
-      attrU(ui) = r.getInt(2); attrV(vi) = r.getInt(3)
+      setAttr("U", attrU, ui, r.getLong(0), r.getInt(2), nAttrU)
+      setAttr("V", attrV, vi, r.getLong(1), r.getInt(3), nAttrV)
       (ui, vi)
     }
     Localized(BipartiteGraph.fromEdges(uIds.length, vIds.length, es, attrU, attrV, nAttrU, nAttrV),

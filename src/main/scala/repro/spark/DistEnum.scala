@@ -1,5 +1,7 @@
 package repro.spark
 
+import org.apache.spark.SparkContext
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.types._
 import repro.core._
@@ -22,11 +24,6 @@ object DistEnum {
     StructField("r", ArrayType(LongType, containsNull = false), nullable = false),
   ))
 
-  sealed trait Algo
-  case object SSFBC_BCEM   extends Algo // FairBCEM
-  case object SSFBC_BCEMpp extends Algo // FairBCEM++
-  case object BSFBC_BCEMpp extends Algo // BFairBCEM++
-
   /** Enumerate single-side fair bicliques of the attributed edge table. */
   def ssfbc(spark: SparkSession, edges: DataFrame, p: FairParams,
             ordering: VertexOrdering = VertexOrdering.DegOrd,
@@ -36,37 +33,15 @@ object DistEnum {
     val alive    = CFCore.prune(loc.graph, p.alpha, p.beta)
     val g        = loc.graph.restrict(alive.u, alive.v)
 
-    val sc = spark.sparkContext
-    val results: Seq[Biclique] =
-      if (plusPlus) {
-        val searcher = new FairBCEMpp.Searcher(g, alive, p, proportional = false)
-        val roots    = searcher.roots(ordering)
-        val bs       = sc.broadcast(searcher)
-        val br       = sc.broadcast(roots)
-        sc.parallelize(roots.indices, math.min(roots.length max 1, sc.defaultParallelism * 4))
-          .flatMap { i =>
-            val buf = Vector.newBuilder[Biclique]
-            bs.value.runRoot(br.value, i, buf += _)
-            buf.result()
-          }.collect().toSeq
-      } else {
-        val searcher = new FairBCEM.Searcher(g, alive, p, naive = false)
-        val roots    = searcher.roots(ordering)
-        val bs       = sc.broadcast(searcher)
-        val br       = sc.broadcast(roots)
-        sc.parallelize(roots.indices, math.min(roots.length max 1, sc.defaultParallelism * 4))
-          .flatMap { i =>
-            val buf = Vector.newBuilder[Biclique]
-            bs.value.runRoot(br.value, i, buf += _)
-            buf.result()
-          }.collect().toSeq
-      }
-    toDF(spark, results, loc)
+    val searcher =
+      if (plusPlus) new FairBCEMpp.Searcher(g, alive, p, proportional = false)
+      else new FairBCEM.Searcher(g, alive, p, naive = false)
+    toDF(spark, fanOut(spark.sparkContext, searcher, ordering).collect().toSeq, loc)
   }
 
   /** Enumerate bi-side fair bicliques: distributed BFCore, local BCFCore,
-    * root-parallel SSFBC phase, then a parallel left-side expansion over
-    * the phase-1 results.
+    * then the root-parallel SSFBC search with the left-side expansion of
+    * each phase-1 result in the same task.
     */
   def bsfbc(spark: SparkSession, edges: DataFrame, p: FairParams,
             ordering: VertexOrdering = VertexOrdering.DegOrd,
@@ -78,22 +53,27 @@ object DistEnum {
 
     val sc       = spark.sparkContext
     val searcher = new FairBCEMpp.Searcher(g, alive, p, proportional = false)
-    val roots    = searcher.roots(ordering)
-    val bs       = sc.broadcast(searcher)
-    val br       = sc.broadcast(roots)
-    val ssfbcs = sc.parallelize(roots.indices, math.min(roots.length max 1, sc.defaultParallelism * 4))
+    val bg       = sc.broadcast(g)
+    val results  = fanOut(sc, searcher, ordering)
+      .flatMap(b => BiFair.expandLeft(bg.value, p, b, proportional = false))
+      .collect().toSeq
+    toDF(spark, results, loc)
+  }
+
+  /** The root fan-out: broadcast the searcher and its roots, then run
+    * every root in a Spark task. No root is skipped for the C-set; that is
+    * complete and duplicate-free for both searchers (DESIGN.md §3).
+    */
+  private def fanOut(sc: SparkContext, searcher: RootSearch, ordering: VertexOrdering): RDD[Biclique] = {
+    val roots = searcher.roots(ordering)
+    val bs    = sc.broadcast(searcher)
+    val br    = sc.broadcast(roots)
+    sc.parallelize(roots.indices, math.min(roots.length max 1, sc.defaultParallelism * 4))
       .flatMap { i =>
         val buf = Vector.newBuilder[Biclique]
         bs.value.runRoot(br.value, i, buf += _)
         buf.result()
-      }.collect().toSeq
-
-    val bg = sc.broadcast(g)
-    val bp = sc.broadcast(p)
-    val results = sc.parallelize(ssfbcs, math.min(ssfbcs.length max 1, sc.defaultParallelism * 4))
-      .flatMap(b => BiFair.expandLeft(bg.value, bp.value, b, proportional = false))
-      .collect().toSeq
-    toDF(spark, results, loc)
+      }
   }
 
   private def toDF(spark: SparkSession, bicliques: Seq[Biclique], loc: GraphIO.Localized): DataFrame = {

@@ -18,61 +18,48 @@ import org.apache.spark.sql.functions._
   */
 object DistFCore {
 
-  /** Fair α-β core: U needs every V-attribute-class degree ≥ β (a class
-    * with no edges at all counts as degree 0 — hence the countDistinct
-    * guard), V needs degree ≥ α.
+  /** Fair α-β core: U needs every V-attribute-class degree ≥ β, V needs
+    * degree ≥ α.
     */
   def fairCore(edges: DataFrame, alpha: Int, beta: Int, nAttrV: Int,
-               maxRounds: Int = 1000): DataFrame = {
-    var e       = edges.select("u", "v", "uval", "vval").localCheckpoint()
-    var rounds  = 0
-    var changed = true
-    while (changed && rounds < maxRounds) {
-      val badU = e.groupBy("u", "vval").agg(count(lit(1)).as("c"))
-        .groupBy("u").agg(min("c").as("minc"), countDistinct("vval").as("ncls"))
-        .where(col("minc") < beta || col("ncls") < nAttrV)
-        .select("u")
-      val badV = e.groupBy("v").agg(count(lit(1)).as("c"))
-        .where(col("c") < alpha)
-        .select("v")
-      val nBad = badU.count() + badV.count()
-      if (nBad == 0) changed = false
-      else {
-        e = e.join(badU, Seq("u"), "left_anti")
-             .join(badV, Seq("v"), "left_anti")
-             .localCheckpoint()
-      }
-      rounds += 1
+               maxRounds: Int = 1000): DataFrame =
+    peel(edges, maxRounds) { e =>
+      (classViolators(e, "u", "vval", beta, nAttrV),
+       e.groupBy("v").agg(count(lit(1)).as("c")).where(col("c") < alpha).select("v"))
     }
-    e
-  }
 
   /** Bi-fair α-β core (Def 13): V-vertices are peeled on per-U-attribute
     * degree < α instead of total degree.
     */
   def biFairCore(edges: DataFrame, alpha: Int, beta: Int, nAttrU: Int, nAttrV: Int,
-                 maxRounds: Int = 1000): DataFrame = {
-    var e       = edges.select("u", "v", "uval", "vval").localCheckpoint()
-    var rounds  = 0
-    var changed = true
-    while (changed && rounds < maxRounds) {
-      val badU = e.groupBy("u", "vval").agg(count(lit(1)).as("c"))
-        .groupBy("u").agg(min("c").as("minc"), countDistinct("vval").as("ncls"))
-        .where(col("minc") < beta || col("ncls") < nAttrV)
-        .select("u")
-      val badV = e.groupBy("v", "uval").agg(count(lit(1)).as("c"))
-        .groupBy("v").agg(min("c").as("minc"), countDistinct("uval").as("ncls"))
-        .where(col("minc") < alpha || col("ncls") < nAttrU)
-        .select("v")
-      val nBad = badU.count() + badV.count()
-      if (nBad == 0) changed = false
-      else {
-        e = e.join(badU, Seq("u"), "left_anti")
-             .join(badV, Seq("v"), "left_anti")
-             .localCheckpoint()
-      }
-      rounds += 1
+                 maxRounds: Int = 1000): DataFrame =
+    peel(edges, maxRounds) { e =>
+      (classViolators(e, "u", "vval", beta, nAttrV), classViolators(e, "v", "uval", alpha, nAttrU))
     }
-    e
+
+  /** Vertices of `side` with fewer than `k` edges into some class of `cls`.
+    * A class with no edges at all counts as degree 0 — hence the
+    * countDistinct guard.
+    */
+  private def classViolators(e: DataFrame, side: String, cls: String, k: Int, nClasses: Int): DataFrame =
+    e.groupBy(side, cls).agg(count(lit(1)).as("c"))
+      .groupBy(side).agg(min("c").as("minc"), countDistinct(cls).as("ncls"))
+      .where(col("minc") < k || col("ncls") < nClasses)
+      .select(side)
+
+  /** Remove the violators `bad` finds, a round at a time, until there are
+    * none. Throws once `maxRounds` removal rounds leave violators behind.
+    */
+  private def peel(edges: DataFrame, maxRounds: Int)(bad: DataFrame => (DataFrame, DataFrame)): DataFrame = {
+    @annotation.tailrec
+    def round(e: DataFrame, rounds: Int): DataFrame = {
+      val (badU, badV) = bad(e)
+      if (badU.count() + badV.count() == 0) e
+      else if (rounds == maxRounds)
+        throw new IllegalStateException(s"DistFCore did not converge in $maxRounds rounds")
+      else round(e.join(badU, Seq("u"), "left_anti").join(badV, Seq("v"), "left_anti").localCheckpoint(),
+                 rounds + 1)
+    }
+    round(edges.select("u", "v", "uval", "vval").localCheckpoint(), 0)
   }
 }

@@ -77,6 +77,18 @@ class BiFairSpec extends AnyFunSuite {
     }
   }
 
+  test("expandLeft trips the explosion guard on the upper side") {
+    // K40,2 with a 36/4 U split and δ=14: C(36,18) ≈ 9e9 left subsets.
+    val g = BipartiteGraph.fromEdges(40, 2,
+      for { u <- 0 until 40; v <- 0 until 2 } yield (u, v),
+      (0 until 40).map(u => if (u < 36) 0 else 1).toArray, Array(0, 1))
+    val ssfbc = Biclique(Vector.range(0, 40), Vector(0, 1))
+    val e = intercept[IllegalArgumentException] {
+      BiFair.expandLeft(g, FairParams(1, 1, 14), ssfbc, proportional = false)
+    }
+    assert(e.getMessage.contains("Combination explosion"))
+  }
+
   test("hand-worked: two disjoint 2x2 blocks with balanced attributes") {
     val g = BipartiteGraph.fromEdges(4, 4,
       Seq((0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (2, 3), (3, 2), (3, 3)),

@@ -81,6 +81,15 @@ class FCoreSpec extends AnyFunSuite {
       for (u <- 0 until g.nU if bi.u(u)) assert(s.u(u), s"seed=$seed u=$u")
       for (v <- 0 until g.nV if bi.v(v)) assert(s.v(v), s"seed=$seed v=$v")
     }
+    // With one U attribute class the per-class V condition is the plain
+    // degree condition, so the two cores coincide.
+    for (seed <- 0 until 15; (a, b) <- Seq((1, 1), (2, 1), (2, 2), (3, 2))) {
+      val g  = SynthBipartite.randomSmall(550 + seed, 10, 12, 0.4, nAttrU = 1)
+      val s  = FCore.fairCore(g, a, b)
+      val bi = FCore.biFairCore(g, a, b)
+      assert(bi.u.toSeq == s.u.toSeq, s"seed=$seed α=$a β=$b")
+      assert(bi.v.toSeq == s.v.toSeq, s"seed=$seed α=$a β=$b")
+    }
   }
 
   test("fair core is idempotent") {

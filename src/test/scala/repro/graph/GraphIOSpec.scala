@@ -29,6 +29,29 @@ class GraphIOSpec extends SparkSpec {
     for (v <- 0 until g2.nV) assert(g2.attrV(v) == g.attrV(loc.vIds(v).toInt))
   }
 
+  private def edgeRows(rows: (Long, Long, Int, Int)*) =
+    spark.createDataFrame(spark.sparkContext.parallelize(
+      rows.map { case (u, v, ua, va) => org.apache.spark.sql.Row(u, v, ua, va) }, 1), GraphIO.edgeSchema)
+
+  test("toLocal rejects a vertex whose rows disagree on its attribute") {
+    val e = intercept[IllegalArgumentException](
+      GraphIO.toLocal(edgeRows((1L, 10L, 0, 1), (1L, 11L, 1, 0), (2L, 10L, 1, 1))))
+    assert(e.getMessage.contains("U vertex 1"))
+    val f = intercept[IllegalArgumentException](
+      GraphIO.toLocal(edgeRows((1L, 10L, 0, 1), (2L, 10L, 1, 0))))
+    assert(f.getMessage.contains("V vertex 10"))
+  }
+
+  test("toLocal rejects attribute ids outside the declared range") {
+    val e = intercept[IllegalArgumentException](
+      GraphIO.toLocal(edgeRows((1L, 10L, 0, 1), (2L, 11L, 1, 2)), nAttrU = 2, nAttrV = 2))
+    assert(e.getMessage.contains("V vertex 11"))
+    val f = intercept[IllegalArgumentException](
+      GraphIO.toLocal(edgeRows((7L, 10L, 2, 0)), nAttrU = 2, nAttrV = 2))
+    assert(f.getMessage.contains("U vertex 7"))
+    assert(GraphIO.toLocal(edgeRows((7L, 10L, 2, 0)), nAttrU = 3, nAttrV = 2).graph.attrU.toSeq == Seq(2))
+  }
+
   test("attribute degrees (Def 7): Spark aggregation matches DuckDB") {
     val sparkDf = df.groupBy("u", "vval").agg(count(lit(1)).as("ad"))
     Oracle.assertEquivalent(sparkDf,

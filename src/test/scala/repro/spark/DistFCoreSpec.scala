@@ -76,6 +76,18 @@ class DistFCoreSpec extends SparkSpec {
     assert(e23.subsetOf(e22))
   }
 
+  test("reaching maxRounds with violators left fails loudly") {
+    // A path u0-v0-u1-v1-…: at α=β=2 each removed end exposes the next, so
+    // the peel cascades one vertex per round down to nothing.
+    val n     = 5
+    val edges = (0 until n).flatMap(i => Seq((i, i), (i + 1, i)))
+    val g  = repro.graph.BipartiteGraph.fromEdges(n + 1, n, edges, Array.fill(n + 1)(0), Array.fill(n)(0))
+    val df = GraphIO.toEdgeDF(spark, g)
+    val e  = intercept[IllegalStateException](DistFCore.fairCore(df, 2, 2, nAttrV = 1, maxRounds = 1))
+    assert(e.getMessage.contains("1 rounds"))
+    assert(DistFCore.fairCore(df, 2, 2, nAttrV = 1).count() == 0)
+  }
+
   test("a graph that is already a fair core passes through unchanged") {
     // Complete bipartite K6,6 with balanced attrs survives any small α, β.
     val edges = for { u <- 0 until 6; v <- 0 until 6 } yield (u, v)
