@@ -89,7 +89,7 @@ object RunSSFBC {
       args.lift(2).map(_.toInt).getOrElse(d.betaS),
       args.lift(3).map(_.toInt).getOrElse(d.delta))
     val df  = GraphIO.toEdgeDF(spark, SynthBipartite.generate(cfg))
-    val res = DistEnum.ssfbc(spark, df, p)
+    val res = DistEnum.ssfbc(spark, df, p).cache() // count + show: search once
     println(s"${cfg.name}: ${res.count()} single-side fair bicliques at $p")
     res.show(10, truncate = false)
     spark.stop()
@@ -107,7 +107,7 @@ object RunBSFBC {
       args.lift(2).map(_.toInt).getOrElse(d.betaB),
       args.lift(3).map(_.toInt).getOrElse(d.delta))
     val df  = GraphIO.toEdgeDF(spark, SynthBipartite.generate(cfg))
-    val res = DistEnum.bsfbc(spark, df, p)
+    val res = DistEnum.bsfbc(spark, df, p).cache() // count + show: search once
     println(s"${cfg.name}: ${res.count()} bi-side fair bicliques at $p")
     res.show(10, truncate = false)
     spark.stop()

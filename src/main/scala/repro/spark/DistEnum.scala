@@ -15,7 +15,10 @@ import repro.graph.GraphIO
   * paper's pruning) is collected, colourful-core pruned, and broadcast;
   * (3) the branch-and-bound search fans out over top-level roots, one
   * independent subproblem per root, via an RDD flatMap; (4) results come
-  * back as a DataFrame in the original vertex ids.
+  * back as a DataFrame in the original vertex ids, lazy and distributed:
+  * steps (1) and (2) run when `ssfbc`/`bsfbc` is called, but the search
+  * runs, partitioned like the fan-out, each time the frame is acted on.
+  * Cache the frame to act on it more than once.
   */
 object DistEnum {
 
@@ -36,7 +39,7 @@ object DistEnum {
     val searcher =
       if (plusPlus) new FairBCEMpp.Searcher(g, alive, p, proportional = false)
       else new FairBCEM.Searcher(g, alive, p, naive = false)
-    toDF(spark, fanOut(spark.sparkContext, searcher, ordering).collect().toSeq, loc)
+    toDF(spark, fanOut(spark.sparkContext, searcher, ordering), loc)
   }
 
   /** Enumerate bi-side fair bicliques: distributed BFCore, local BCFCore,
@@ -56,7 +59,6 @@ object DistEnum {
     val bg       = sc.broadcast(g)
     val results  = fanOut(sc, searcher, ordering)
       .flatMap(b => BiFair.expandLeft(bg.value, p, b, proportional = false))
-      .collect().toSeq
     toDF(spark, results, loc)
   }
 
@@ -76,10 +78,15 @@ object DistEnum {
       }
   }
 
-  private def toDF(spark: SparkSession, bicliques: Seq[Biclique], loc: GraphIO.Localized): DataFrame = {
+  /** Map local ids back to the original ones through one broadcast of
+    * the id arrays, partition by partition.
+    */
+  private def toDF(spark: SparkSession, bicliques: RDD[Biclique], loc: GraphIO.Localized): DataFrame = {
+    val ids  = spark.sparkContext.broadcast((loc.uIds, loc.vIds))
     val rows = bicliques.map { b =>
-      Row(b.left.map(u => loc.uIds(u)), b.right.map(v => loc.vIds(v)))
+      val (uIds, vIds) = ids.value
+      Row(b.left.map(u => uIds(u)), b.right.map(v => vIds(v)))
     }
-    spark.createDataFrame(spark.sparkContext.parallelize(rows, 1), resultSchema)
+    spark.createDataFrame(rows, resultSchema)
   }
 }

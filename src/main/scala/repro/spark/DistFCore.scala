@@ -1,6 +1,6 @@
 package repro.spark
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Observation}
 import org.apache.spark.sql.functions._
 
 /** Distributed fair α-β core pruning: the dataflow formulation of Alg 1
@@ -11,6 +11,12 @@ import org.apache.spark.sql.functions._
   * fixpoint equals the peeling fixpoint (cores are order-independent).
   * Rounds are O(core-peeling depth), each a shuffle — the standard
   * iterative-dataflow core decomposition.
+  *
+  * A round is one Spark action: the anti-joined edges are materialised by
+  * `localCheckpoint()`, and an `Observation` on that same action counts the
+  * surviving rows. Removing a violator removes at least one of its edges,
+  * so a round that keeps every row found no violators: the peel has
+  * converged.
   *
   * Input/output: the canonical edge table `[u, v, uval, vval]`
   * (`repro.graph.GraphIO.edgeSchema`). A vertex is "removed" when it has no
@@ -38,28 +44,38 @@ object DistFCore {
     }
 
   /** Vertices of `side` with fewer than `k` edges into some class of `cls`.
-    * A class with no edges at all counts as degree 0 — hence the
-    * countDistinct guard.
+    * A class with no edges at all counts as degree 0 — hence the class
+    * count, one row per (vertex, class) after the first aggregation.
     */
   private def classViolators(e: DataFrame, side: String, cls: String, k: Int, nClasses: Int): DataFrame =
     e.groupBy(side, cls).agg(count(lit(1)).as("c"))
-      .groupBy(side).agg(min("c").as("minc"), countDistinct(cls).as("ncls"))
+      .groupBy(side).agg(min("c").as("minc"), count(lit(1)).as("ncls"))
       .where(col("minc") < k || col("ncls") < nClasses)
       .select(side)
 
-  /** Remove the violators `bad` finds, a round at a time, until there are
-    * none. Throws once `maxRounds` removal rounds leave violators behind.
+  /** Materialise `df` with one action and return it with its row count. */
+  private def checkpointCounted(df: DataFrame): (DataFrame, Long) = {
+    val rows = Observation()
+    val out  = df.observe(rows, count(lit(1)).as("n")).localCheckpoint()
+    (out, rows.get("n").asInstanceOf[Long])
+  }
+
+  /** Remove the violators `bad` finds, a round at a time, until a round
+    * removes nothing. Throws once `maxRounds` removal rounds leave
+    * violators behind: the pass after round `maxRounds` is the check.
     */
   private def peel(edges: DataFrame, maxRounds: Int)(bad: DataFrame => (DataFrame, DataFrame)): DataFrame = {
     @annotation.tailrec
-    def round(e: DataFrame, rounds: Int): DataFrame = {
+    def round(e: DataFrame, n: Long, rounds: Int): DataFrame = {
       val (badU, badV) = bad(e)
-      if (badU.count() + badV.count() == 0) e
+      val (next, kept) =
+        checkpointCounted(e.join(badU, Seq("u"), "left_anti").join(badV, Seq("v"), "left_anti"))
+      if (kept == n) next
       else if (rounds == maxRounds)
         throw new IllegalStateException(s"DistFCore did not converge in $maxRounds rounds")
-      else round(e.join(badU, Seq("u"), "left_anti").join(badV, Seq("v"), "left_anti").localCheckpoint(),
-                 rounds + 1)
+      else round(next, kept, rounds + 1)
     }
-    round(edges.select("u", "v", "uval", "vval").localCheckpoint(), 0)
+    val (e0, n0) = checkpointCounted(edges.select("u", "v", "uval", "vval"))
+    round(e0, n0, 0)
   }
 }

@@ -4,11 +4,16 @@ import repro.SparkSpec
 import repro.bipartite.SynthBipartite
 import repro.core._
 import repro.graph.GraphIO
+import org.apache.spark.sql.Row
+import org.scalatest.concurrent.{Signaler, ThreadSignaler, TimeLimits}
+import org.scalatest.time.SpanSugar._
 
 /** Broader distributed-vs-local coverage: more datasets, parameter
   * settings, sparse vertex ids, and empty-result cases.
   */
-class DistEnumMoreSpec extends SparkSpec {
+class DistEnumMoreSpec extends SparkSpec with TimeLimits {
+
+  private implicit val signaler: Signaler = ThreadSignaler
 
   private def resultSet(res: org.apache.spark.sql.DataFrame): Set[Biclique] =
     res.collect().map { r =>
@@ -60,6 +65,20 @@ class DistEnumMoreSpec extends SparkSpec {
     val df = GraphIO.toEdgeDF(spark, g)
     assert(DistEnum.ssfbc(spark, df, FairParams(500, 2, 2)).count() == 0)
     assert(DistEnum.bsfbc(spark, df, FairParams(500, 500, 2)).count() == 0)
+  }
+
+  test("an empty edge table gives empty frames without hanging") {
+    // DistFCore waits on a row count observed on each round's action; a
+    // zero-row local relation and a zero-partition RDD must still report.
+    val empties = Seq(
+      "local" -> spark.createDataFrame(java.util.Collections.emptyList[Row](), GraphIO.edgeSchema),
+      "rdd"   -> spark.createDataFrame(spark.sparkContext.emptyRDD[Row], GraphIO.edgeSchema))
+    for ((kind, df) <- empties) failAfter(2.minutes) {
+      assert(DistFCore.fairCore(df, 2, 2, 2).count() == 0, kind)
+      assert(DistFCore.biFairCore(df, 2, 2, 2, 2).count() == 0, kind)
+      assert(DistEnum.ssfbc(spark, df, FairParams(2, 2, 2)).count() == 0, kind)
+      assert(DistEnum.bsfbc(spark, df, FairParams(2, 2, 2)).count() == 0, kind)
+    }
   }
 
   test("result schema carries long arrays") {

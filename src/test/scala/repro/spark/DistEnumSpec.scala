@@ -48,6 +48,14 @@ class DistEnumSpec extends SparkSpec {
     assert(got.nonEmpty, "trivial test: no BSFBC found — regenerate config")
   }
 
+  test("results stay distributed and repeat across actions") {
+    val res = DistEnum.ssfbc(spark, df, p)
+    assert(res.rdd.getNumPartitions > 1)
+    val first = resultSet(res)
+    assert(resultSet(res) == first)
+    assert(res.count() == first.size)
+  }
+
   test("emitted bicliques are complete subgraphs (DuckDB cross-check)") {
     val res = DistEnum.ssfbc(spark, df, p).limit(50).cache()
     val pairs = res

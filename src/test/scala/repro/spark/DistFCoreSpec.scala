@@ -88,6 +88,18 @@ class DistFCoreSpec extends SparkSpec {
     assert(DistFCore.fairCore(df, 2, 2, nAttrV = 1).count() == 0)
   }
 
+  test("maxRounds counts removal rounds exactly") {
+    // The same cascading path: u0/u5, v0/v4, u1/u4, v1/v3, u2/u3 — five
+    // removal rounds, after which no edge is left.
+    val n     = 5
+    val edges = (0 until n).flatMap(i => Seq((i, i), (i + 1, i)))
+    val g  = repro.graph.BipartiteGraph.fromEdges(n + 1, n, edges, Array.fill(n + 1)(0), Array.fill(n)(0))
+    val df = GraphIO.toEdgeDF(spark, g)
+    assert(DistFCore.fairCore(df, 2, 2, nAttrV = 1, maxRounds = 5).count() == 0)
+    val e = intercept[IllegalStateException](DistFCore.fairCore(df, 2, 2, nAttrV = 1, maxRounds = 4))
+    assert(e.getMessage.contains("4 rounds"))
+  }
+
   test("a graph that is already a fair core passes through unchanged") {
     // Complete bipartite K6,6 with balanced attrs survives any small α, β.
     val edges = for { u <- 0 until 6; v <- 0 until 6 } yield (u, v)
