@@ -27,8 +27,9 @@ object CFCore {
 
     // M(u)(a*nCol + c): #vertices of attribute a / colour c in N[u];
     // ED(u)(a): #distinct colours with M > 0 — the ego colorful degree.
-    val m  = Array.ofDim[Int](h.n, nA * nCol)
-    val ed = Array.ofDim[Int](h.n, nA)
+    // Only vertices of `alive0` get rows: `hh` links no other vertex.
+    val m  = Array.tabulate(h.n)(u => if (alive(u)) new Array[Int](nA * nCol) else null)
+    val ed = Array.tabulate(h.n)(u => if (alive(u)) new Array[Int](nA) else null)
     for (u <- 0 until h.n if alive(u)) {
       val row = m(u)
       def add(w: Int): Unit = {
@@ -56,49 +57,37 @@ object CFCore {
     alive
   }
 
-  /** Alg 2 `CFCore`: full single-side pruning pipeline. */
+  /** Alg 2 `CFCore`: FCore → 2-hop graph → colourful side step → FCore. */
   def prune(g: BipartiteGraph, alpha: Int, beta: Int): FCore.Alive = {
-    val core1 = FCore.fairCore(g, alpha, beta)
-    val h     = TwoHop.construct(g, alpha, core1.u, core1.v)
-
-    // Lines 4-5: a single-side fair biclique has ≥ |A_V|·β fair-side
-    // vertices, all pairwise adjacent in H, so degree < |A_V|·β − 1 is out.
-    val aliveH = core1.v.clone()
-    val minDeg = g.nAttrV * beta - 1
-    for (v <- 0 until g.nV if aliveH(v)) {
-      if (h.adj(v).count(aliveH(_)) < minDeg) aliveH(v) = false
-    }
-
-    val aliveV2 = egoColorfulCore(h, beta, aliveH)
-    FCore.fairCore(g, alpha, beta, initU = Some(core1.u), initV = Some(aliveV2))
+    val core1  = FCore.fairCore(g, alpha, beta)
+    val aliveV = colorfulSide(TwoHop.construct(g, alpha, core1.u, core1.v), beta, core1.v)
+    FCore.fairCore(g, alpha, beta, initU = Some(core1.u), initV = Some(aliveV))
   }
 
-  /** `BCFCore`: bi-side pipeline — BFCore, then ego colorful β-core on the
-    * V-side bi-2-hop graph (Alg 8), then ego colorful α-core on the U-side
-    * bi-2-hop graph, then BFCore again.
+  /** `BCFCore`: bi-side pipeline — BFCore, then the colourful side step
+    * on the V-side bi-2-hop graph (Alg 8; k = β), then on the U-side
+    * bi-2-hop graph of `g.transpose` (k = α), then BFCore again.
     */
   def biPrune(g: BipartiteGraph, alpha: Int, beta: Int): FCore.Alive = {
-    val core1 = FCore.biFairCore(g, alpha, beta)
+    val core1  = FCore.biFairCore(g, alpha, beta)
+    val aliveV = colorfulSide(TwoHop.biConstruct(g, alpha, core1.u, core1.v), beta, core1.v)
+    val aliveU = colorfulSide(TwoHop.biConstruct(g.transpose, beta, aliveV, core1.u), alpha, core1.u)
+    FCore.biFairCore(g, alpha, beta, initU = Some(aliveU), initV = Some(aliveV))
+  }
 
-    // V side: pairs must share ≥ α common U-neighbours per U-attribute.
-    val hV      = TwoHop.biConstruct(g, alpha, core1.u, core1.v)
-    val aliveHV = core1.v.clone()
-    val minDegV = g.nAttrV * beta - 1
-    for (v <- 0 until g.nV if aliveHV(v)) {
-      if (hV.adj(v).count(aliveHV(_)) < minDegV) aliveHV(v) = false
+  /** Alg 2 lines 4-8 on one side's 2-hop graph `h`. A fair biclique has
+    * ≥ |A|·k vertices on this side, all pairwise adjacent in H, so a vertex
+    * with fewer than |A|·k − 1 alive H-neighbours is out (one in-place pass
+    * in id order); then the ego colorful k-core of what is left.
+    */
+  private def colorfulSide(h: AttributedGraph, k: Int, alive0: Array[Boolean]): Array[Boolean] = {
+    val alive  = alive0.clone()
+    val minDeg = h.nAttr * k - 1
+    var v = 0
+    while (v < h.n) {
+      if (alive(v) && h.adj(v).count(alive(_)) < minDeg) alive(v) = false
+      v += 1
     }
-    val aliveV2 = egoColorfulCore(hV, beta, aliveHV)
-
-    // U side: transpose, pairs must share ≥ β common V-neighbours per V-attribute.
-    val gT      = g.transpose
-    val hU      = TwoHop.biConstruct(gT, beta, aliveV2, core1.u)
-    val aliveHU = core1.u.clone()
-    val minDegU = g.nAttrU * alpha - 1
-    for (u <- 0 until g.nU if aliveHU(u)) {
-      if (hU.adj(u).count(aliveHU(_)) < minDegU) aliveHU(u) = false
-    }
-    val aliveU2 = egoColorfulCore(hU, alpha, aliveHU)
-
-    FCore.biFairCore(g, alpha, beta, initU = Some(aliveU2), initV = Some(aliveV2))
+    egoColorfulCore(h, k, alive)
   }
 }

@@ -49,19 +49,7 @@ object FairSet {
   def isMaximalFairSubsetCounts(sCounts: Array[Int], shatCounts: Array[Int],
                                 k: Int, delta: Int): Boolean = {
     require(sCounts.length == shatCounts.length)
-    if (!isFairCounts(shatCounts, k, delta)) return false
-    val leftover = Array.tabulate(sCounts.length)(a => sCounts(a) - shatCounts(a))
-    require(leftover.forall(_ >= 0), "shat is not a subset of s")
-    if (leftover.forall(_ > 0)) return false // add one element of each class
-    var a = 0
-    while (a < leftover.length) {
-      if (leftover(a) > 0) {
-        val c = shatCounts.clone(); c(a) += 1
-        if (isFairCounts(c, k, delta)) return false
-      }
-      a += 1
-    }
-    true
+    isMaximalUnder(sCounts, shatCounts, isFairCounts(_, k, delta))
   }
 
   def isMaximalFairSubset(s: Iterable[Int], shat: Iterable[Int], attr: Int => Int,
@@ -76,14 +64,23 @@ object FairSet {
   def isMaximalProportionFairSubsetCounts(sCounts: Array[Int], shatCounts: Array[Int],
                                           k: Int, delta: Int, theta: Double): Boolean = {
     require(sCounts.length == 2, "proportional models are implemented for 2 attribute values")
-    if (!isProportionFairCounts(shatCounts, k, delta, theta)) return false
+    isMaximalUnder(sCounts, shatCounts, isProportionFairCounts(_, k, delta, theta))
+  }
+
+  /** The body of both MFSChecks: `shatCounts` satisfies `fair`, and adding
+    * one leftover element of some class, or one of every class, does not.
+    */
+  private def isMaximalUnder(sCounts: Array[Int], shatCounts: Array[Int],
+                             fair: Array[Int] => Boolean): Boolean = {
+    if (!fair(shatCounts)) return false
     val leftover = Array.tabulate(sCounts.length)(a => sCounts(a) - shatCounts(a))
-    if (leftover.forall(_ > 0)) return false
+    require(leftover.forall(_ >= 0), "shat is not a subset of s")
+    if (leftover.forall(_ > 0)) return false // add one element of each class
     var a = 0
     while (a < leftover.length) {
       if (leftover(a) > 0) {
         val c = shatCounts.clone(); c(a) += 1
-        if (isProportionFairCounts(c, k, delta, theta)) return false
+        if (fair(c)) return false
       }
       a += 1
     }
@@ -144,8 +141,8 @@ object FairSet {
     require(count <= MaxCombinationsPerBiclique,
       s"Combination explosion: $count candidate subsets in one set " +
       s"(classes ${sizes.mkString("x")}, δ=${p.delta}); choose stricter parameters")
-    if (proportional) combinationPro(grouped, k, p.delta, p.theta)
-    else combination(grouped, k, p.delta)
+    if (proportional) proportionalSubsets(grouped, profile, k, p.delta, p.theta)
+    else cartesian(grouped, profile)
   }
 
   /** Alg 7 `Combination`: all maximal fair subsets of the elements grouped
@@ -164,10 +161,17 @@ object FairSet {
     */
   def combinationPro(elemsByAttr: Array[Array[Int]], k: Int, delta: Int,
                      theta: Double): Iterator[Array[Int]] = {
-    require(elemsByAttr.length == 2, "proportional models are implemented for 2 attribute values")
     val n = elemsByAttr.map(_.length)
-    if (n.exists(_ < k) || n.exists(_ == 0)) return Iterator.empty
-    val prof = maximalProfilePro(n, delta, theta)
+    if (n.exists(_ < k) || n.exists(_ == 0)) Iterator.empty
+    else proportionalSubsets(elemsByAttr, maximalProfilePro(n, delta, theta), k, delta, theta)
+  }
+
+  /** `CombinationPro` over its profile `prof`: empty unless `prof` is itself
+    * proportion-fair.
+    */
+  private def proportionalSubsets(elemsByAttr: Array[Array[Int]], prof: Array[Int], k: Int,
+                                  delta: Int, theta: Double): Iterator[Array[Int]] = {
+    require(elemsByAttr.length == 2, "proportional models are implemented for 2 attribute values")
     if (prof.exists(_ < k) || !isProportionFairCounts(prof, k, delta, theta)) Iterator.empty
     else cartesian(elemsByAttr, prof)
   }

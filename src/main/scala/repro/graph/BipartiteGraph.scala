@@ -87,7 +87,11 @@ final class BipartiteGraph(
 
 object BipartiteGraph {
 
-  /** Build from an edge list; duplicate edges are collapsed. */
+  /** Build from an edge list; duplicate edges are collapsed.
+    *
+    * @throws IllegalArgumentException when an edge end or an attribute is
+    *         out of range.
+    */
   def fromEdges(
       nU: Int,
       nV: Int,
@@ -99,6 +103,8 @@ object BipartiteGraph {
   ): BipartiteGraph = {
     require(attrU.length == nU, s"attrU size ${attrU.length} != nU $nU")
     require(attrV.length == nV, s"attrV size ${attrV.length} != nV $nV")
+    for ((side, attr, nAttr) <- Seq(("U", attrU, nAttrU), ("V", attrV, nAttrV)); i <- attr.indices)
+      require(attr(i) >= 0 && attr(i) < nAttr, s"$side vertex $i has attribute ${attr(i)} outside 0 until $nAttr")
     val bU = Array.fill(nU)(new scala.collection.mutable.ArrayBuffer[Int]())
     val bV = Array.fill(nV)(new scala.collection.mutable.ArrayBuffer[Int]())
     for ((u, v) <- edges) {

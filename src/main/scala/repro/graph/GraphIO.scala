@@ -35,12 +35,7 @@ object GraphIO {
     * → original long id). Vertices with no edges in the frame are dropped —
     * pruning phases express removal as edge removal.
     */
-  final case class Localized(graph: BipartiteGraph, uIds: Array[Long], vIds: Array[Long]) {
-    private lazy val uIndex: Map[Long, Int] = uIds.zipWithIndex.toMap
-    private lazy val vIndex: Map[Long, Int] = vIds.zipWithIndex.toMap
-    def localU(id: Long): Int = uIndex(id)
-    def localV(id: Long): Int = vIndex(id)
-  }
+  final case class Localized(graph: BipartiteGraph, uIds: Array[Long], vIds: Array[Long])
 
   /** @throws IllegalArgumentException when a vertex's rows disagree on its
     *         attribute, or an attribute lies outside `0 until nAttr*`.

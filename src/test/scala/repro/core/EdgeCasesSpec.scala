@@ -29,6 +29,18 @@ class EdgeCasesSpec extends AnyFunSuite {
     assert(FairBCEMpp.enumerate(k33, FairParams(1, 2, 1)).isEmpty)
   }
 
+  test("fromEdges rejects attributes outside the declared range on either side") {
+    val es = Seq((0, 0), (1, 1))
+    for ((attrU, attrV, side) <- Seq(
+           (Array(0, 0), Array(2, 1), "V vertex 0 has attribute 2"),
+           (Array(0, 0), Array(0, -1), "V vertex 1 has attribute -1"),
+           (Array(0, 3), Array(0, 1), "U vertex 1 has attribute 3"),
+           (Array(-1, 0), Array(0, 1), "U vertex 0 has attribute -1"))) {
+      val e = intercept[IllegalArgumentException](BipartiteGraph.fromEdges(2, 2, es, attrU, attrV, 2, 2))
+      assert(e.getMessage.contains(side), e.getMessage)
+    }
+  }
+
   test("single-edge graph") {
     val g = BipartiteGraph.fromEdges(1, 1, Seq((0, 0)), Array(0), Array(0), 1, 1)
     // One attribute class only: the single V vertex is trivially fair.

@@ -49,5 +49,14 @@ class TwoHopSpec extends AnyFunSuite {
     val h1 = TwoHop.construct(g, 2, tU, tV)   // total ≥ 2
     val h2 = TwoHop.biConstruct(g, 1, tU, tV) // ≥ 1 per attr ⇒ total ≥ 2
     for (v <- 0 until g.nV; w <- h2.adj(v)) assert(h1.hasEdge(v, w))
+    // With one U attribute class the per-class condition is the total one,
+    // so the two 2-hop graphs coincide.
+    for (seed <- 0 until 15; alpha <- Seq(1, 2, 3)) {
+      val g1    = SynthBipartite.randomSmall(560 + seed, 10, 12, 0.4, nAttrU = 1)
+      val t1U   = Array.fill(g1.nU)(true); val t1V = Array.tabulate(g1.nV)(_ != seed % 12)
+      val plain = TwoHop.construct(g1, alpha, t1U, t1V)
+      val bi    = TwoHop.biConstruct(g1, alpha, t1U, t1V)
+      for (v <- 0 until g1.nV) assert(bi.adj(v).toSeq == plain.adj(v).toSeq, s"seed=$seed α=$alpha v=$v")
+    }
   }
 }
