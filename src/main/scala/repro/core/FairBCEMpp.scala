@@ -39,9 +39,10 @@ object FairBCEMpp {
       if (fair) out(Biclique.of(l1, r1)) else emitFairSubsets(l1, r1, out)
     }
 
-    protected def canGrow(rc1: Array[Int], p1: scala.collection.mutable.ArrayBuffer[Int]): Boolean = {
+    protected def canGrow(rc1: Array[Int], ids: Array[Int], from: Int, to: Int): Boolean = {
       val potential = rc1.clone()
-      p1.foreach(v => potential(g.attrV(v)) += 1)
+      var k = from
+      while (k < to) { potential(g.attrV(ids(k))) += 1; k += 1 }
       potential.forall(_ >= p.beta)
     }
 

@@ -28,7 +28,7 @@ object MBEA {
     protected def atMaximal(l: Array[Int], r: List[Int], rc: Array[Int], out: Biclique => Unit): Unit =
       if (rc.sum >= minR) out(Biclique.of(l, r))
 
-    protected def canGrow(rc: Array[Int], p: scala.collection.mutable.ArrayBuffer[Int]): Boolean =
-      rc.sum + p.length >= minR
+    protected def canGrow(rc: Array[Int], ids: Array[Int], from: Int, to: Int): Boolean =
+      rc.sum + (to - from) >= minR
   }
 }

@@ -9,12 +9,26 @@ object Coloring {
   /** @return colour per vertex (0-based); dead vertices (empty adjacency,
     *         degree 0) still get colour 0, which is harmless for the
     *         colorful-core peel because they are peeled immediately anyway.
+    *
+    * Only vertices with an edge are ordered: by non-increasing degree, ties
+    * by id, through one primitive sort of packed `(-deg, id)` keys.
     */
   def greedyByDegree(g: AttributedGraph): Array[Int] = {
-    val order = Array.range(0, g.n).sortBy(v => (-g.deg(v), v))
-    val color = Array.fill(g.n)(-1)
-    val used  = new java.util.BitSet()
-    for (v <- order) {
+    var n = 0; var v = 0
+    while (v < g.n) { if (g.deg(v) > 0) n += 1; v += 1 }
+    val keys = new Array[Long](n)
+    n = 0; v = 0
+    while (v < g.n) {
+      if (g.deg(v) > 0) { keys(n) = (-g.deg(v).toLong << 32) | v; n += 1 }
+      v += 1
+    }
+    java.util.Arrays.sort(keys)
+
+    val color = new Array[Int](g.n)
+    keys.foreach(key => color(key.toInt) = -1)
+    val used = new java.util.BitSet()
+    keys.foreach { key =>
+      val v = key.toInt
       used.clear()
       val ns = g.adj(v); var i = 0
       while (i < ns.length) {

@@ -87,6 +87,30 @@ class CFCoreSpec extends AnyFunSuite {
     }
   }
 
+  test("greedy coloring matches the plain degree-ordered reference with isolated vertices") {
+    def reference(h: AttributedGraph): Array[Int] = {
+      val color = Array.fill(h.n)(-1)
+      for (v <- Array.range(0, h.n).sortBy(v => (-h.deg(v), v))) {
+        val used = h.adj(v).map(color).filter(_ >= 0).toSet
+        color(v) = Iterator.from(0).find(c => !used(c)).get
+      }
+      color
+    }
+    for (seed <- 0 until 40) {
+      val rng      = new scala.util.Random(300 + seed)
+      val n        = 5 + rng.nextInt(40)
+      val isolated = Array.fill(n)(rng.nextDouble() < 0.4)
+      val edges = for {
+        i <- 0 until n; j <- i + 1 until n
+        if !isolated(i) && !isolated(j) && rng.nextDouble() < 0.25
+      } yield (i, j)
+      val h     = AttributedGraph.fromEdges(n, edges, Array.fill(n)(rng.nextInt(2)))
+      val color = Coloring.greedyByDegree(h)
+      assert(color.toSeq == reference(h).toSeq, s"seed=$seed")
+      for (v <- 0 until n if h.deg(v) == 0) assert(color(v) == 0, s"seed=$seed dead $v")
+    }
+  }
+
   test("clique needs n colors; ego colorful degree counts distinct colors once") {
     val n = 5
     val edges = for { i <- 0 until n; j <- i + 1 until n } yield (i, j)

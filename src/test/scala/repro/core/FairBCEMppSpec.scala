@@ -53,6 +53,17 @@ class FairBCEMppSpec extends AnyFunSuite {
     assert(asSet(FairBCEM.enumerate(g, p)) == asSet(FairBCEMpp.enumerate(g, p)))
   }
 
+  test("a searcher over the unrestricted graph sees only alive vertices") {
+    for (seed <- 0 until 12; ordering <- VertexOrdering.all; proportional <- Seq(false, true)) {
+      val g0    = SynthBipartite.randomSmall(7000 + seed, 14, 16, 0.4)
+      val p     = FairParams(2, 2, 1)
+      val alive = CFCore.prune(g0, p.alpha, p.beta)
+      val exp   = asSet(FairBCEMpp.enumerateOn(g0.restrict(alive.u, alive.v), alive, p, ordering, proportional))
+      val got   = asSet(new FairBCEMpp.Searcher(g0, alive, p, proportional).enumerate(ordering))
+      assert(got == exp, s"seed=$seed ord=${ordering.name} proportional=$proportional")
+    }
+  }
+
   test("hand-worked: K3,4 single SSFBC") {
     val g = BipartiteGraph.fromEdges(3, 4,
       for { u <- 0 until 3; v <- 0 until 4 } yield (u, v),

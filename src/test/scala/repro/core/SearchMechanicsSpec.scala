@@ -44,6 +44,40 @@ class SearchMechanicsSpec extends AnyFunSuite {
     }
   }
 
+  test("FairBCEM++ roots run concurrently on one searcher give the per-root union") {
+    val g     = SynthBipartite.generate(SynthBipartite.youtubeS.copy(nU = 300, nV = 120, blocks = 10, noiseEdges = 500))
+    val p     = FairParams(3, 2, 2)
+    val alive = CFCore.prune(g, p.alpha, p.beta)
+    val pruned = g.restrict(alive.u, alive.v)
+    def perRoot(searcher: FairBCEMpp.Searcher, roots: Array[Int], i: Int): Vector[Biclique] = {
+      val out = Vector.newBuilder[Biclique]
+      searcher.runRoot(roots, i, out += _)
+      out.result()
+    }
+    val sequential = {
+      val s     = new FairBCEMpp.Searcher(pruned, alive, p, proportional = false)
+      val roots = s.roots(VertexOrdering.DegOrd)
+      roots.indices.flatMap(perRoot(s, roots, _)).map(_.canonical)
+    }
+    assert(sequential.nonEmpty)
+
+    val shared = new FairBCEMpp.Searcher(pruned, alive, p, proportional = false)
+    val roots  = shared.roots(VertexOrdering.DegOrd)
+    val pool   = java.util.concurrent.Executors.newFixedThreadPool(4)
+    val got =
+      try {
+        val tasks = roots.indices.map { i =>
+          pool.submit(new java.util.concurrent.Callable[Vector[Biclique]] {
+            def call(): Vector[Biclique] = perRoot(shared, roots, i)
+          })
+        }
+        tasks.flatMap(_.get()).map(_.canonical)
+      } finally pool.shutdown()
+    assert(got.size == got.toSet.size, "concurrent roots produced duplicates")
+    assert(got.toSet == sequential.toSet)
+    assert(got.size == sequential.size)
+  }
+
   test("timeout: tiny budget returns None, generous budget returns the full set") {
     val g = SynthBipartite.generate(SynthBipartite.youtubeS.copy(nU = 600, nV = 300, blocks = 20, noiseEdges = 1500))
     val p = FairParams(3, 2, 2)
