@@ -7,7 +7,7 @@ import repro.exp.Experiments
 import repro.graph.GraphIO
 import repro.spark.DistEnum
 
-/** Shared session builder for the spark-submit entrypoints. */
+/** Shared session builder and bodies for the spark-submit entrypoints. */
 object JobSession {
   def build(name: String): SparkSession = SparkSession.builder()
     .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
@@ -19,6 +19,23 @@ object JobSession {
     SynthBipartite.all.find(_.name == name).getOrElse(
       throw new IllegalArgumentException(
         s"unknown dataset $name; expected one of ${SynthBipartite.all.map(_.name).mkString(", ")}"))
+
+  /** The distributed runners: dataset, α, β, δ from `args`, defaulting to
+    * the dataset's Table I values for the single- or bi-side model.
+    */
+  def runDistributed(args: Array[String], bi: Boolean): Unit = {
+    val spark = build(if (bi) "bsfbc" else "ssfbc")
+    val cfg   = datasetByName(args.headOption.getOrElse("youtube-s"))
+    val d     = if (bi) Experiments.paramsBi(cfg) else Experiments.paramsSingle(cfg)
+    def arg(i: Int, default: Int) = args.lift(i).map(_.toInt).getOrElse(default)
+    val p   = FairParams(arg(1, d.alpha), arg(2, d.beta), arg(3, d.delta))
+    val df  = GraphIO.toEdgeDF(spark, SynthBipartite.generate(cfg))
+    val res = (if (bi) DistEnum.bsfbc(spark, df, p) else DistEnum.ssfbc(spark, df, p))
+      .cache() // count + show: search once
+    println(s"${cfg.name}: ${res.count()} ${if (bi) "bi" else "single"}-side fair bicliques at $p")
+    res.show(10, truncate = false)
+    spark.stop()
+  }
 }
 
 /** Table I — dataset statistics and default parameters. */
@@ -80,38 +97,12 @@ object Exp7Proportion {
 
 /** Generic distributed SSFBC runner: dataset, α, β, δ. */
 object RunSSFBC {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.build("ssfbc")
-    val cfg   = JobSession.datasetByName(args.headOption.getOrElse("youtube-s"))
-    val d     = SynthBipartite.defaults(cfg.name)
-    val p = FairParams(
-      args.lift(1).map(_.toInt).getOrElse(d.alphaS),
-      args.lift(2).map(_.toInt).getOrElse(d.betaS),
-      args.lift(3).map(_.toInt).getOrElse(d.delta))
-    val df  = GraphIO.toEdgeDF(spark, SynthBipartite.generate(cfg))
-    val res = DistEnum.ssfbc(spark, df, p).cache() // count + show: search once
-    println(s"${cfg.name}: ${res.count()} single-side fair bicliques at $p")
-    res.show(10, truncate = false)
-    spark.stop()
-  }
+  def main(args: Array[String]): Unit = JobSession.runDistributed(args, bi = false)
 }
 
 /** Generic distributed BSFBC runner: dataset, α, β, δ. */
 object RunBSFBC {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.build("bsfbc")
-    val cfg   = JobSession.datasetByName(args.headOption.getOrElse("youtube-s"))
-    val d     = SynthBipartite.defaults(cfg.name)
-    val p = FairParams(
-      args.lift(1).map(_.toInt).getOrElse(d.alphaB),
-      args.lift(2).map(_.toInt).getOrElse(d.betaB),
-      args.lift(3).map(_.toInt).getOrElse(d.delta))
-    val df  = GraphIO.toEdgeDF(spark, SynthBipartite.generate(cfg))
-    val res = DistEnum.bsfbc(spark, df, p).cache() // count + show: search once
-    println(s"${cfg.name}: ${res.count()} bi-side fair bicliques at $p")
-    res.show(10, truncate = false)
-    spark.stop()
-  }
+  def main(args: Array[String]): Unit = JobSession.runDistributed(args, bi = true)
 }
 
 /** Mechanism analogue of the §V-C case studies (no tables in the paper):

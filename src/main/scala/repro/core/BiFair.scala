@@ -32,9 +32,18 @@ object BiFair {
     try Some(enumerate(g0, p, ordering, phase1, proportional = false, timeoutMs))
     catch { case _: FairBCEM.SearchTimeout => None }
 
+  /** `enumerate` on an already-pruned graph. Throws
+    * `IllegalArgumentException` for a choice phase 1 cannot run:
+    * `proportional` on any phase 1 but FairBCEM++ (whose maximal *fair*
+    * right sides the proportional check would reject), or a time budget
+    * on FairBCEM++, which has no deadline.
+    */
   def enumerateOn(g: BipartiteGraph, alive: FCore.Alive, p: FairParams,
                   ordering: VertexOrdering, phase1: Phase1,
                   proportional: Boolean, timeoutMs: Long = 0): Vector[Biclique] = {
+    require(!proportional || phase1 == UseFairBCEMpp,
+      s"the proportional model (BFairBCEMPro++) needs phase 1 UseFairBCEMpp, not $phase1")
+    require(timeoutMs <= 0 || phase1 != UseFairBCEMpp, s"phase 1 $phase1 takes no time budget")
     val ssfbcs: Vector[Biclique] = phase1 match {
       case UseFairBCEM   => FairBCEM.enumerateOn(g, alive, p, ordering, naive = false, timeoutMs)
       case UseNSF        => FairBCEM.enumerateOn(g, alive, p, ordering, naive = true, timeoutMs)

@@ -14,13 +14,29 @@ object BruteForce {
   private def subsets(n: Int): Iterator[Vector[Int]] =
     Iterator.range(0, 1 << n).map(mask => (0 until n).filter(i => (mask & (1 << i)) != 0).toVector)
 
+  /** Fairness of `set` under `attr` with lower bound `k` (Def 11, or the
+    * proportion model of Defs 5/6): the one place the two models differ.
+    */
+  private type Fair = (Iterable[Int], Int => Int, Int, Int) => Boolean
+
+  private def plain(delta: Int): Fair = FairSet.isFair(_, _, _, _, delta)
+
+  private def proportion(delta: Int, theta: Double): Fair = FairSet.isProportionFair(_, _, _, _, delta, theta)
+
   /** All single-side fair bicliques (Def 3). */
-  def allSSFBC(g: BipartiteGraph, p: FairParams): Set[Biclique] = {
+  def allSSFBC(g: BipartiteGraph, p: FairParams): Set[Biclique] =
+    singleSide(g, p, plain(p.delta))
+
+  /** All proportion single-side fair bicliques (Def 5). */
+  def allPSSFBC(g: BipartiteGraph, p: FairParams): Set[Biclique] =
+    singleSide(g, p, proportion(p.delta, p.theta))
+
+  private def singleSide(g: BipartiteGraph, p: FairParams, fair: Fair): Set[Biclique] = {
     require(g.nV <= 20, "brute force limited to tiny graphs")
     // Candidates: fair R with |N(R)| >= alpha; C = (N(R), R).
     val cands = subsets(g.nV).flatMap { r =>
       if (r.isEmpty) None
-      else if (!FairSet.isFair(r, g.attrV, g.nAttrV, p.beta, p.delta)) None
+      else if (!fair(r, g.attrV, g.nAttrV, p.beta)) None
       else {
         val l = g.commonNeighborsOfV(r)
         if (l.length >= p.alpha && l.nonEmpty) Some(r -> l.toVector) else None
@@ -34,45 +50,20 @@ object BruteForce {
     }.toSet
   }
 
-  /** All proportion single-side fair bicliques (Def 5). */
-  def allPSSFBC(g: BipartiteGraph, p: FairParams): Set[Biclique] = {
-    require(g.nV <= 20)
-    val cands = subsets(g.nV).flatMap { r =>
-      if (r.isEmpty) None
-      else if (!FairSet.isProportionFair(r, g.attrV, g.nAttrV, p.beta, p.delta, p.theta)) None
-      else {
-        val l = g.commonNeighborsOfV(r)
-        if (l.length >= p.alpha && l.nonEmpty) Some(r -> l.toVector) else None
-      }
-    }.toVector
-    val byL = cands.groupBy(_._2)
-    cands.collect {
-      case (r, l) if !byL(l).exists { case (r2, _) => r2 != r && r.forall(r2.contains) } =>
-        Biclique.of(l, r)
-    }.toSet
-  }
-
   /** All bi-side fair bicliques (Def 4). */
   def allBSFBC(g: BipartiteGraph, p: FairParams): Set[Biclique] =
-    biSide(g, p, proportional = false)
+    biSide(g, p, plain(p.delta))
 
   /** All proportion bi-side fair bicliques (Def 6). */
   def allPBSFBC(g: BipartiteGraph, p: FairParams): Set[Biclique] =
-    biSide(g, p, proportional = true)
+    biSide(g, p, proportion(p.delta, p.theta))
 
-  private def biSide(g: BipartiteGraph, p: FairParams, proportional: Boolean): Set[Biclique] = {
+  private def biSide(g: BipartiteGraph, p: FairParams, fair: Fair): Set[Biclique] = {
     require(g.nU <= 20 && g.nV <= 20)
-    def fairU(l: Iterable[Int]) =
-      if (proportional) FairSet.isProportionFair(l, g.attrU, g.nAttrU, p.alpha, p.delta, p.theta)
-      else FairSet.isFair(l, g.attrU, g.nAttrU, p.alpha, p.delta)
-    def fairV(r: Iterable[Int]) =
-      if (proportional) FairSet.isProportionFair(r, g.attrV, g.nAttrV, p.beta, p.delta, p.theta)
-      else FairSet.isFair(r, g.attrV, g.nAttrV, p.beta, p.delta)
-
     val cands = (for {
-      r <- subsets(g.nV) if r.nonEmpty && fairV(r)
+      r <- subsets(g.nV) if r.nonEmpty && fair(r, g.attrV, g.nAttrV, p.beta)
       nr = g.commonNeighborsOfV(r)
-      l <- subsetsOf(nr) if l.nonEmpty && fairU(l)
+      l <- subsetsOf(nr) if l.nonEmpty && fair(l, g.attrU, g.nAttrU, p.alpha)
     } yield Biclique.of(l, r)).toVector
     val candSet = cands.toSet
     candSet.filter { c =>
@@ -105,27 +96,21 @@ object BruteForce {
   }
 
   /** All maximal fair subsets of grouped elements — reference for Alg 7. */
-  def maximalFairSubsets(elemsByAttr: Array[Array[Int]], k: Int, delta: Int): Set[Set[Int]] = {
-    val all   = elemsByAttr.flatten
-    val attrOf = elemsByAttr.zipWithIndex.flatMap { case (es, a) => es.map(_ -> a) }.toMap
-    require(all.length <= 20)
-    val fairs = subsets(all.length)
-      .map(_.map(all).toSet)
-      .filter(s => s.nonEmpty && FairSet.isFair(s, attrOf, elemsByAttr.length, k, delta))
-      .toVector
-    fairs.filter(s => !fairs.exists(s2 => s2 != s && s.subsetOf(s2))).toSet
-  }
+  def maximalFairSubsets(elemsByAttr: Array[Array[Int]], k: Int, delta: Int): Set[Set[Int]] =
+    maximalSubsets(elemsByAttr, k, plain(delta))
 
   /** All maximal proportion-fair subsets — reference for CombinationPro. */
   def maximalProportionFairSubsets(elemsByAttr: Array[Array[Int]], k: Int, delta: Int,
-                                   theta: Double): Set[Set[Int]] = {
+                                   theta: Double): Set[Set[Int]] =
+    maximalSubsets(elemsByAttr, k, proportion(delta, theta))
+
+  private def maximalSubsets(elemsByAttr: Array[Array[Int]], k: Int, fair: Fair): Set[Set[Int]] = {
     val all    = elemsByAttr.flatten
     val attrOf = elemsByAttr.zipWithIndex.flatMap { case (es, a) => es.map(_ -> a) }.toMap
     require(all.length <= 20)
     val fairs = subsets(all.length)
       .map(_.map(all).toSet)
-      .filter(s => s.nonEmpty &&
-        FairSet.isProportionFair(s, attrOf, elemsByAttr.length, k, delta, theta))
+      .filter(s => s.nonEmpty && fair(s, attrOf, elemsByAttr.length, k))
       .toVector
     fairs.filter(s => !fairs.exists(s2 => s2 != s && s.subsetOf(s2))).toSet
   }

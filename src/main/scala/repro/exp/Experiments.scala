@@ -48,6 +48,26 @@ object Experiments {
     val d = defaultsOf(cfg); FairParams(d.alphaB, d.betaB, d.delta, d.theta)
   }
 
+  /** One of the paper's enumeration algorithms (§V-A), run with CFCore
+    * (BCFCore when `bi`) pruning. Only the naive baselines NSF and BNSF
+    * take a time budget (ms, 0 = none); they throw `SearchTimeout` past it.
+    */
+  private final case class Algorithm(name: String, bi: Boolean, naive: Boolean,
+                                     run: (BipartiteGraph, FairParams, VertexOrdering, Long) => Vector[Biclique])
+
+  /** Each model's naive baseline, then its pair of algorithms. */
+  private val algorithms = Seq(
+    Algorithm("NSF", bi = false, naive = true, (g, p, o, t) => FairBCEM.enumerate(g, p, o, naive = true, t)),
+    Algorithm("FairBCEM", bi = false, naive = false, (g, p, o, _) => FairBCEM.enumerate(g, p, o)),
+    Algorithm("FairBCEM++", bi = false, naive = false, (g, p, o, _) => FairBCEMpp.enumerate(g, p, o)),
+    Algorithm("BNSF", bi = true, naive = true, (g, p, o, t) => BiFair.enumerate(g, p, o, BiFair.UseNSF, timeoutMs = t)),
+    Algorithm("BFairBCEM", bi = true, naive = false, (g, p, o, _) => BiFair.enumerate(g, p, o, BiFair.UseFairBCEM)),
+    Algorithm("BFairBCEM++", bi = true, naive = false, (g, p, o, _) => BiFair.enumerate(g, p, o, BiFair.UseFairBCEMpp)),
+  )
+
+  /** The four algorithms of Table II and Exp-5. */
+  private val fourAlgorithms = algorithms.filterNot(_.naive)
+
   // ------------------------------------------------------------------
   // Table I — datasets and parameters
   // ------------------------------------------------------------------
@@ -81,23 +101,13 @@ object Experiments {
   def tableII(datasets: Seq[BipartiteConfig] = SynthBipartite.all,
               orderings: Seq[VertexOrdering] = VertexOrdering.all): Seq[TableIIRow] = {
     warmup
-    val rows = Seq.newBuilder[TableIIRow]
-    for (cfg <- datasets) {
-      val g  = loadDataset(cfg)
-      val ps = paramsSingle(cfg)
-      val pb = paramsBi(cfg)
-      for (ord <- orderings) {
-        val (r1, t1) = timeMs(FairBCEM.enumerate(g, ps, ord))
-        rows += TableIIRow("FairBCEM", ord.name, cfg.name, t1 / 1000.0, r1.size.toLong)
-        val (r2, t2) = timeMs(FairBCEMpp.enumerate(g, ps, ord))
-        rows += TableIIRow("FairBCEM++", ord.name, cfg.name, t2 / 1000.0, r2.size.toLong)
-        val (r3, t3) = timeMs(BiFair.enumerate(g, pb, ord, BiFair.UseFairBCEM))
-        rows += TableIIRow("BFairBCEM", ord.name, cfg.name, t3 / 1000.0, r3.size.toLong)
-        val (r4, t4) = timeMs(BiFair.enumerate(g, pb, ord, BiFair.UseFairBCEMpp))
-        rows += TableIIRow("BFairBCEM++", ord.name, cfg.name, t4 / 1000.0, r4.size.toLong)
+    datasets.flatMap { cfg =>
+      val g = loadDataset(cfg)
+      for (ord <- orderings; a <- fourAlgorithms) yield {
+        val (r, t) = timeMs(a.run(g, if (a.bi) paramsBi(cfg) else paramsSingle(cfg), ord, 0))
+        TableIIRow(a.name, ord.name, cfg.name, t / 1000.0, r.size.toLong)
       }
     }
-    rows.result()
   }
 
   // ------------------------------------------------------------------
@@ -146,50 +156,35 @@ object Experiments {
     * `naiveTimeoutMs = 0` skips the naive baseline entirely.
     */
   def exp2Ssfbc(cfg: BipartiteConfig, varied: String, values: Seq[Int],
-                naiveTimeoutMs: Long, ordering: VertexOrdering = VertexOrdering.DegOrd): Seq[SweepRow] = {
-    warmup
-    val g    = loadDataset(cfg)
-    val base = paramsSingle(cfg)
-    values.flatMap { v =>
-      val p = withParam(base, varied, v)
-      val rows = Seq.newBuilder[SweepRow]
-      if (naiveTimeoutMs > 0) {
-        val (rn, tn) = timeMs(FairBCEM.enumerateOpt(g, p, ordering, naive = true, naiveTimeoutMs))
-        rows += SweepRow(cfg.name, "single", varied, v, "NSF",
-                         if (rn.isDefined) tn / 1000.0 else -1.0,
-                         rn.map(_.size.toLong).getOrElse(-1L))
-      }
-      val (r1, t1) = timeMs(FairBCEM.enumerate(g, p, ordering))
-      rows += SweepRow(cfg.name, "single", varied, v, "FairBCEM", t1 / 1000.0, r1.size.toLong)
-      val (r2, t2) = timeMs(FairBCEMpp.enumerate(g, p, ordering))
-      rows += SweepRow(cfg.name, "single", varied, v, "FairBCEM++", t2 / 1000.0, r2.size.toLong)
-      require(r1.map(_.canonical).toSet == r2.map(_.canonical).toSet,
-        s"FairBCEM and FairBCEM++ disagree at $varied=$v on ${cfg.name}")
-      rows.result()
-    }
-  }
+                naiveTimeoutMs: Long, ordering: VertexOrdering = VertexOrdering.DegOrd): Seq[SweepRow] =
+    sweep(cfg, bi = false, varied, values, naiveTimeoutMs, ordering)
 
   def exp3Bsfbc(cfg: BipartiteConfig, varied: String, values: Seq[Int],
-                naiveTimeoutMs: Long, ordering: VertexOrdering = VertexOrdering.DegOrd): Seq[SweepRow] = {
+                naiveTimeoutMs: Long, ordering: VertexOrdering = VertexOrdering.DegOrd): Seq[SweepRow] =
+    sweep(cfg, bi = true, varied, values, naiveTimeoutMs, ordering)
+
+  /** One sweep over the algorithms of a model; the two non-naive ones
+    * must give the same result set at every point.
+    */
+  private def sweep(cfg: BipartiteConfig, bi: Boolean, varied: String, values: Seq[Int],
+                    naiveTimeoutMs: Long, ordering: VertexOrdering): Seq[SweepRow] = {
     warmup
-    val g    = loadDataset(cfg)
-    val base = paramsBi(cfg)
+    val g     = loadDataset(cfg)
+    val base  = if (bi) paramsBi(cfg) else paramsSingle(cfg)
+    val model = if (bi) "bi" else "single"
+    val algos = algorithms.filter(a => a.bi == bi && (naiveTimeoutMs > 0 || !a.naive))
     values.flatMap { v =>
-      val p = withParam(base, varied, v)
-      val rows = Seq.newBuilder[SweepRow]
-      if (naiveTimeoutMs > 0) {
-        val (rn, tn) = timeMs(BiFair.enumerateOpt(g, p, ordering, BiFair.UseNSF, naiveTimeoutMs))
-        rows += SweepRow(cfg.name, "bi", varied, v, "BNSF",
-                         if (rn.isDefined) tn / 1000.0 else -1.0,
-                         rn.map(_.size.toLong).getOrElse(-1L))
+      val p    = withParam(base, varied, v)
+      val runs = algos.map { a =>
+        a -> (try Some(timeMs(a.run(g, p, ordering, naiveTimeoutMs)))
+              catch { case _: FairBCEM.SearchTimeout => None })
       }
-      val (r1, t1) = timeMs(BiFair.enumerate(g, p, ordering, BiFair.UseFairBCEM))
-      rows += SweepRow(cfg.name, "bi", varied, v, "BFairBCEM", t1 / 1000.0, r1.size.toLong)
-      val (r2, t2) = timeMs(BiFair.enumerate(g, p, ordering, BiFair.UseFairBCEMpp))
-      rows += SweepRow(cfg.name, "bi", varied, v, "BFairBCEM++", t2 / 1000.0, r2.size.toLong)
-      require(r1.map(_.canonical).toSet == r2.map(_.canonical).toSet,
-        s"BFairBCEM and BFairBCEM++ disagree at $varied=$v on ${cfg.name}")
-      rows.result()
+      val Seq(x, y) = runs.collect { case (a, Some((r, _))) if !a.naive => a.name -> r.map(_.canonical).toSet }
+      require(x._2 == y._2, s"${x._1} and ${y._1} disagree at $varied=$v on ${cfg.name}")
+      runs.map { case (a, res) =>
+        SweepRow(cfg.name, model, varied, v, a.name,
+                 res.fold(-1.0)(_._2 / 1000.0), res.fold(-1L)(_._1.size.toLong))
+      }
     }
   }
 
@@ -251,16 +246,10 @@ object Experiments {
     val pb = pbOverride.getOrElse(paramsBi(cfg))
     fractions.flatMap { f =>
       val g = if (f >= 1.0) g0 else SynthBipartite.sampleEdges(g0, f, seed = 77L)
-      val (r1, t1) = timeMs(FairBCEM.enumerate(g, ps))
-      val (r2, t2) = timeMs(FairBCEMpp.enumerate(g, ps))
-      val (r3, t3) = timeMs(BiFair.enumerate(g, pb, phase1 = BiFair.UseFairBCEM))
-      val (r4, t4) = timeMs(BiFair.enumerate(g, pb, phase1 = BiFair.UseFairBCEMpp))
-      Seq(
-        ScaleRow(cfg.name, f, "FairBCEM", t1 / 1000.0, r1.size.toLong),
-        ScaleRow(cfg.name, f, "FairBCEM++", t2 / 1000.0, r2.size.toLong),
-        ScaleRow(cfg.name, f, "BFairBCEM", t3 / 1000.0, r3.size.toLong),
-        ScaleRow(cfg.name, f, "BFairBCEM++", t4 / 1000.0, r4.size.toLong),
-      )
+      fourAlgorithms.map { a =>
+        val (r, t) = timeMs(a.run(g, if (a.bi) pb else ps, VertexOrdering.DegOrd, 0))
+        ScaleRow(cfg.name, f, a.name, t / 1000.0, r.size.toLong)
+      }
     }
   }
 
@@ -287,9 +276,12 @@ object Experiments {
   }
 
   // ------------------------------------------------------------------
-  // Distributed pipeline timing (used by Exp-5's dataflow variant)
+  // Distributed pipeline timing
   // ------------------------------------------------------------------
 
+  /** Count and seconds of `DistEnum.ssfbc` on the dataset at its
+    * single-side defaults, from the edge table to the count.
+    */
   def distSsfbcCount(spark: SparkSession, cfg: BipartiteConfig): (Long, Double) = {
     val g  = loadDataset(cfg)
     val df = GraphIO.toEdgeDF(spark, g)

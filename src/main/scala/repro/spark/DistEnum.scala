@@ -30,17 +30,9 @@ object DistEnum {
   /** Enumerate single-side fair bicliques of the attributed edge table. */
   def ssfbc(spark: SparkSession, edges: DataFrame, p: FairParams,
             ordering: VertexOrdering = VertexOrdering.DegOrd,
-            plusPlus: Boolean = true, nAttrU: Int = 2, nAttrV: Int = 2): DataFrame = {
-    val prunedDf = DistFCore.fairCore(edges, p.alpha, p.beta, nAttrV)
-    val loc      = GraphIO.toLocal(prunedDf, nAttrU, nAttrV)
-    val alive    = CFCore.prune(loc.graph, p.alpha, p.beta)
-    val g        = loc.graph.restrict(alive.u, alive.v)
-
-    val searcher =
-      if (plusPlus) new FairBCEMpp.Searcher(g, alive, p, proportional = false)
-      else new FairBCEM.Searcher(g, alive, p, naive = false)
-    toDF(spark, fanOut(spark.sparkContext, searcher, ordering), loc)
-  }
+            plusPlus: Boolean = true, nAttrU: Int = 2, nAttrV: Int = 2): DataFrame =
+    enumerate(spark, DistFCore.fairCore(edges, p.alpha, p.beta, nAttrV), p, ordering,
+              bi = false, plusPlus, nAttrU, nAttrV)
 
   /** Enumerate bi-side fair bicliques: distributed BFCore, local BCFCore,
     * then the root-parallel SSFBC search with the left-side expansion of
@@ -48,32 +40,45 @@ object DistEnum {
     */
   def bsfbc(spark: SparkSession, edges: DataFrame, p: FairParams,
             ordering: VertexOrdering = VertexOrdering.DegOrd,
-            nAttrU: Int = 2, nAttrV: Int = 2): DataFrame = {
-    val prunedDf = DistFCore.biFairCore(edges, p.alpha, p.beta, nAttrU, nAttrV)
-    val loc      = GraphIO.toLocal(prunedDf, nAttrU, nAttrV)
-    val alive    = CFCore.biPrune(loc.graph, p.alpha, p.beta)
-    val g        = loc.graph.restrict(alive.u, alive.v)
+            nAttrU: Int = 2, nAttrV: Int = 2): DataFrame =
+    enumerate(spark, DistFCore.biFairCore(edges, p.alpha, p.beta, nAttrU, nAttrV), p, ordering,
+              bi = true, plusPlus = true, nAttrU, nAttrV)
 
-    val sc       = spark.sparkContext
-    val searcher = new FairBCEMpp.Searcher(g, alive, p, proportional = false)
-    val bg       = sc.broadcast(g)
-    val results  = fanOut(sc, searcher, ordering)
-      .flatMap(b => BiFair.expandLeft(bg.value, p, b, proportional = false))
-    toDF(spark, results, loc)
+  /** Steps (2)-(4) on the distributed core `prunedDf`: collect it, prune
+    * it with CFCore (BCFCore when `bi`), and fan the search out over its
+    * roots.
+    */
+  private def enumerate(spark: SparkSession, prunedDf: DataFrame, p: FairParams, ordering: VertexOrdering,
+                        bi: Boolean, plusPlus: Boolean, nAttrU: Int, nAttrV: Int): DataFrame = {
+    val loc   = GraphIO.toLocal(prunedDf, nAttrU, nAttrV)
+    val alive = if (bi) CFCore.biPrune(loc.graph, p.alpha, p.beta) else CFCore.prune(loc.graph, p.alpha, p.beta)
+    val g     = loc.graph.restrict(alive.u, alive.v)
+
+    val searcher =
+      if (plusPlus) new FairBCEMpp.Searcher(g, alive, p, proportional = false)
+      else new FairBCEM.Searcher(g, alive, p, naive = false)
+    toDF(spark, fanOut(spark.sparkContext, searcher, ordering, if (bi) Some(p) else None), loc)
   }
 
   /** The root fan-out: broadcast the searcher and its roots, then run
     * every root in a Spark task. No root is skipped for the C-set; that is
     * complete and duplicate-free for both searchers (DESIGN.md §3).
+    * With `expandAt = Some(p)` the task expands each result on the left
+    * (Alg 9 lines 4-8) at `p`, on the broadcast searcher's own graph.
     */
-  private def fanOut(sc: SparkContext, searcher: RootSearch, ordering: VertexOrdering): RDD[Biclique] = {
+  private def fanOut(sc: SparkContext, searcher: RootSearch, ordering: VertexOrdering,
+                     expandAt: Option[FairParams]): RDD[Biclique] = {
     val roots = searcher.roots(ordering)
     val bs    = sc.broadcast(searcher)
     val br    = sc.broadcast(roots)
     sc.parallelize(roots.indices, math.min(roots.length max 1, sc.defaultParallelism * 4))
       .flatMap { i =>
+        val s   = bs.value
         val buf = Vector.newBuilder[Biclique]
-        bs.value.runRoot(br.value, i, buf += _)
+        s.runRoot(br.value, i, b => expandAt match {
+          case None    => buf += b
+          case Some(p) => buf ++= BiFair.expandLeft(s.g, p, b, proportional = false)
+        })
         buf.result()
       }
   }

@@ -89,6 +89,21 @@ class BiFairSpec extends AnyFunSuite {
     assert(e.getMessage.contains("Combination explosion"))
   }
 
+  test("phase-1 choices it cannot run are rejected, naming the phase 1") {
+    val g = SynthBipartite.randomSmall(2, 6, 6, 0.6)
+    val p = FairParams(1, 1, 1, theta = 0.3)
+    // BFairBCEMPro++ is defined on FairBCEM++ only.
+    for (phase1 <- Seq(BiFair.UseFairBCEM, BiFair.UseNSF)) {
+      val e = intercept[IllegalArgumentException](BiFair.enumerate(g, p, phase1 = phase1, proportional = true))
+      assert(e.getMessage.contains(phase1.toString))
+    }
+    // FairBCEM++ has no deadline to give the budget to.
+    val e = intercept[IllegalArgumentException](BiFair.enumerate(g, p, phase1 = BiFair.UseFairBCEMpp, timeoutMs = 60000))
+    assert(e.getMessage.contains("UseFairBCEMpp"))
+    intercept[IllegalArgumentException](
+      BiFair.enumerateOpt(g, p, VertexOrdering.DegOrd, BiFair.UseFairBCEMpp, timeoutMs = 60000))
+  }
+
   test("hand-worked: two disjoint 2x2 blocks with balanced attributes") {
     val g = BipartiteGraph.fromEdges(4, 4,
       Seq((0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (2, 3), (3, 2), (3, 3)),

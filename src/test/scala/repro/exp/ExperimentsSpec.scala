@@ -60,6 +60,17 @@ class ExperimentsSpec extends SparkSpec {
     assert(nsf.render.contains("INF"))
   }
 
+  test("exp3 sweep: BFairBCEM and BFairBCEM++ agree at each point, BNSF reads INF on a tiny budget") {
+    val rows = Experiments.exp3Bsfbc(tiny, "alpha", Seq(2, 3), naiveTimeoutMs = 1)
+    assert(rows.size == 6)
+    for ((v, point) <- rows.groupBy(_.value)) {
+      val m = point.map(r => r.algorithm -> r).toMap
+      assert(m.keySet == Set("BNSF", "BFairBCEM", "BFairBCEM++"), s"alpha=$v")
+      assert(m("BFairBCEM").results == m("BFairBCEM++").results, s"alpha=$v")
+      assert(m("BNSF").isInf && m("BNSF").render.contains("INF"), s"alpha=$v")
+    }
+  }
+
   test("exp4Counts SSFBC column equals a direct enumeration") {
     val rows = Experiments.exp4Counts(tiny, "alpha", Seq(4))
     val g    = SynthBipartite.generate(tiny)
