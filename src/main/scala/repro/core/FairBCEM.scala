@@ -36,7 +36,7 @@ object FairBCEM {
     catch { case _: SearchTimeout => None }
 
   /** Enumerate on an already-pruned graph (alive masks tell which vertices
-    * participate); used by `BiFair` and `DistEnum` which prune separately.
+    * participate); used by `BiFair`, which prunes separately.
     */
   def enumerateOn(g: BipartiteGraph, alive: FCore.Alive, p: FairParams,
                   ordering: VertexOrdering, naive: Boolean,
@@ -48,112 +48,97 @@ object FairBCEM {
   /** One search instance over a fixed pruned graph. Alg 5 has no C-set:
     * `runRoot` always returns an empty one, so the sequential driver runs
     * every root.
+    *
+    * Nodes use the candidate layout of `IMBEA` but keep Alg 5's own
+    * counting (one sorted intersection per candidate), so the two searches
+    * stay independent cross-checks of each other.
     */
   final class Searcher(g: BipartiteGraph, alive: FCore.Alive,
                        val p: FairParams, val naive: Boolean,
                        val deadlineNanos: Long = Long.MaxValue) extends RootSearch(g, alive) {
 
     def runRoot(roots: Array[Int], i: Int, out: Biclique => Unit): Array[Int] = {
-      processNode(roots(i), allU, Nil, new Array[Int](g.nAttrV),
-                  roots.drop(i + 1), roots.take(i), out)
+      processNode(roots, i, roots.length, allU, Nil, new Array[Int](g.nAttrV), out)
       Array.emptyIntArray
     }
 
-    /** Lines 7-28 of Alg 5 for branching vertex `x`.
+    /** Lines 7-28 of Alg 5 for branching vertex `x = ids(xi)`, with Q =
+      * `ids(0 until xi)` (visited) and P = `ids(xi+1 until end)`
+      * (candidates after `x` in branching order).
+      *
+      * The children share one buffer: the Q survivors, then the kept P
+      * candidates in order; child j has Q' = `0 until j`, x = `j` and
+      * P' = `j+1 until` its end.
       *
       * @param l  current L (sorted U ids, common neighbours of `r`)
       * @param r  current R (V ids), `rc` its per-attribute counts
-      * @param pRest candidates after `x` in branching order
-      * @param q  visited vertices
       */
-    private def processNode(x: Int, l: Array[Int], r: List[Int], rc: Array[Int],
-                            pRest: Array[Int], q: Array[Int], out: Biclique => Unit): Unit = {
+    private def processNode(ids: Array[Int], xi: Int, end: Int, l: Array[Int], r: List[Int],
+                            rc: Array[Int], out: Biclique => Unit): Unit = {
       if (System.nanoTime() > deadlineNanos)
         throw new SearchTimeout(s"FairBCEM${if (naive) " (NSF)" else ""} exceeded its time budget")
-      val r1  = x :: r
-      val rc1 = rc.clone(); rc1(g.attrV(x)) += 1
-      val l1  = SortedOps.intersect(l, g.adjV(x))
-
+      val x  = ids(xi)
+      val l1 = SortedOps.intersect(l, g.adjV(x))
       // Structural cut even for NSF: an empty L admits no biclique below.
-      if (l1.isEmpty) return
       // Observation 5 (first half): |L'| < α kills the whole branch.
-      var flag = true
-      if (!naive && l1.length < p.alpha) flag = false
+      if (l1.isEmpty || (!naive && l1.length < p.alpha)) return
 
-      // Q maintenance: fully-connected visited vertices (for maximality)
-      // and the surviving visited set Q' for the recursion.
-      val qFC     = new scala.collection.mutable.ArrayBuffer[Int]()
-      val q1      = new scala.collection.mutable.ArrayBuffer[Int]()
-      val qFCattr = new Array[Boolean](g.nAttrV)
-      val qKeep   = if (naive) 1 else p.alpha
-      var qi = 0
-      while (qi < q.length) {
-        val u   = q(qi)
-        val cnt = SortedOps.intersectSize(g.adjV(u), l1)
-        if (cnt == l1.length) { qFC += u; qFCattr(g.attrV(u)) = true }
-        if (cnt >= qKeep) q1 += u
-        qi += 1
-      }
+      // Q: fully-connected visited vertices per attribute (for maximality),
+      // survivors into the children's buffer.
+      val keep = if (naive) 1 else p.alpha
+      val buf  = new Array[Int](end - 1)
+      val qFC  = new Array[Int](g.nAttrV)
+      val q1   = scan(ids, 0, xi, l1, keep, qFC, buf, 0)
       // Observation 2: one addable visited vertex per attribute ⇒ nothing
       // in this subtree can be maximal.
-      if (!naive && qFCattr.forall(identity)) flag = false
+      if (!naive && qFC.forall(_ > 0)) return
 
-      if (flag) {
-        val pFC  = new scala.collection.mutable.ArrayBuffer[Int]()
-        val p1   = new scala.collection.mutable.ArrayBuffer[Int]()
-        val pKeep = if (naive) 1 else p.alpha
-        var pi = 0
-        while (pi < pRest.length) {
-          val v   = pRest(pi)
-          val cnt = SortedOps.intersectSize(g.adjV(v), l1)
-          if (cnt == l1.length) pFC += v
-          if (cnt >= pKeep) p1 += v
-          pi += 1
-        }
+      // P: the kept candidates follow the Q survivors in `buf(q1 until n)`.
+      val pFC   = new Array[Int](g.nAttrV)
+      val n     = scan(ids, xi + 1, end, l1, keep, pFC, buf, q1)
+      val rc1   = rc.clone(); rc1(g.attrV(x)) += 1
+      val rcAll = Array.tabulate(g.nAttrV)(a => rc1(a) + pFC(a))
 
-        var r2   = r1
-        var rc2  = rc1
-        var pFC2 = pFC
-        var p2   = p1
-        if (!naive && pFC.length == p1.length) {
-          // Observation 4: every candidate is fully connected — absorb them
-          // all if the union stays fair (then the recursion is unnecessary).
-          val mergedCounts = rc1.clone()
-          pFC.foreach(v => mergedCounts(g.attrV(v)) += 1)
-          if (FairSet.isFairCounts(mergedCounts, p.beta, p.delta)) {
-            r2 = pFC.foldLeft(r1)((acc, v) => v :: acc)
-            rc2 = mergedCounts
-            pFC2 = scala.collection.mutable.ArrayBuffer.empty[Int]
-            p2 = scala.collection.mutable.ArrayBuffer.empty[Int]
-          }
-        }
+      // Observation 4: every kept candidate is fully connected — absorb them
+      // all if the union stays fair (then the recursion is unnecessary).
+      val absorb = !naive && pFC.sum == n - q1 && FairSet.isFairCounts(rcAll, p.beta, p.delta)
+      val (r2, rc2, end2) =
+        if (absorb) ((q1 until n).foldLeft(x :: r)((acc, k) => buf(k) :: acc), rcAll, q1)
+        else (x :: r, rc1, n)
 
-        // Output check (lines 24-26): R' fair and maximal among the
-        // fully-connected extension pool R' ∪ P^FC ∪ Q^FC.
-        if (l1.length >= p.alpha && FairSet.isFairCounts(rc2, p.beta, p.delta)) {
-          val poolCounts = rc2.clone()
-          pFC2.foreach(v => poolCounts(g.attrV(v)) += 1)
-          qFC.foreach(v => poolCounts(g.attrV(v)) += 1)
-          if (FairSet.isMaximalFairSubsetCounts(poolCounts, rc2, p.beta, p.delta))
-            out(Biclique.of(l1, r2))
-        }
+      // Output check (lines 24-26): R' fair and maximal among the
+      // fully-connected extension pool R' ∪ P^FC ∪ Q^FC, whose counts are
+      // `rcAll + qFC` whether or not P^FC was absorbed.
+      val pool = Array.tabulate(g.nAttrV)(a => rcAll(a) + qFC(a))
+      if (l1.length >= p.alpha && FairSet.isMaximalFairSubsetCounts(pool, rc2, p.beta, p.delta))
+        out(Biclique.of(l1, r2))
 
-        // Recurse (line 27): candidate pool must still be able to reach β
-        // per attribute (second half of Observation 5).
-        if (p2.nonEmpty) {
-          val potential = rc2.clone()
-          p2.foreach(v => potential(g.attrV(v)) += 1)
-          if (naive || potential.forall(_ >= p.beta)) {
-            var pp = p2.toArray
-            var qq = q1
-            var j  = 0
-            while (j < pp.length) {
-              processNode(pp(j), l1, r2, rc2, pp.drop(j + 1), qq.toArray :++ pp.take(j), out)
-              j += 1
-            }
-          }
-        }
+      // Recurse (line 27): candidate pool must still be able to reach β
+      // per attribute (second half of Observation 5).
+      if (end2 > q1) {
+        val potential = rc2.clone()
+        (q1 until end2).foreach(k => potential(g.attrV(buf(k))) += 1)
+        if (naive || potential.forall(_ >= p.beta))
+          (q1 until end2).foreach(processNode(buf, _, end2, l1, r2, rc2, out))
       }
+    }
+
+    /** Append each of `ids(from until to)` with at least `keep` neighbours
+      * in `l` to `buf` from index `n` on, and count those adjacent to all of
+      * `l` per attribute in `fc`. Returns the new end of `buf`.
+      */
+    private def scan(ids: Array[Int], from: Int, to: Int, l: Array[Int], keep: Int,
+                     fc: Array[Int], buf: Array[Int], n: Int): Int = {
+      var m = n
+      var k = from
+      while (k < to) {
+        val v   = ids(k)
+        val cnt = SortedOps.intersectSize(g.adjV(v), l)
+        if (cnt == l.length) fc(g.attrV(v)) += 1
+        if (cnt >= keep) { buf(m) = v; m += 1 }
+        k += 1
+      }
+      m
     }
   }
 }

@@ -130,50 +130,41 @@ object FairSet {
                          p: FairParams, proportional: Boolean): Iterator[Array[Int]] = {
     val byAttr = Array.fill(nAttr)(new scala.collection.mutable.ArrayBuffer[Int]())
     members.foreach(v => byAttr(attr(v)) += v)
-    val grouped = byAttr.map(_.toArray)
-    val sizes   = grouped.map(_.length)
-    if (sizes.exists(_ < k) || sizes.exists(_ == 0)) return Iterator.empty
-
-    val profile =
-      if (proportional) maximalProfilePro(sizes, p.delta, p.theta)
-      else maximalProfile(sizes, p.delta)
-    val count = combinationCount(sizes, profile)
-    require(count <= MaxCombinationsPerBiclique,
-      s"Combination explosion: $count candidate subsets in one set " +
-      s"(classes ${sizes.mkString("x")}, δ=${p.delta}); choose stricter parameters")
-    if (proportional) proportionalSubsets(grouped, profile, k, p.delta, p.theta)
-    else cartesian(grouped, profile)
+    subsets(byAttr.map(_.toArray), k, p.delta, if (proportional) Some(p.theta) else None)
   }
 
   /** Alg 7 `Combination`: all maximal fair subsets of the elements grouped
     * by attribute in `elemsByAttr`. Emits sorted element arrays. Empty when
-    * some class is smaller than `k`.
+    * some class is smaller than `k`; throws like `maximalFairSubsets`.
     */
-  def combination(elemsByAttr: Array[Array[Int]], k: Int, delta: Int): Iterator[Array[Int]] = {
-    val n = elemsByAttr.map(_.length)
-    if (n.exists(_ < k) || n.exists(_ == 0)) return Iterator.empty
-    cartesian(elemsByAttr, maximalProfile(n, delta))
-  }
+  def combination(elemsByAttr: Array[Array[Int]], k: Int, delta: Int): Iterator[Array[Int]] =
+    subsets(elemsByAttr, k, delta, None)
 
   /** `CombinationPro`: maximal *proportion*-fair subsets. Two-attribute
     * setting only; the emitted profile always satisfies the ratio bound
     * there (see DESIGN.md §3).
     */
   def combinationPro(elemsByAttr: Array[Array[Int]], k: Int, delta: Int,
-                     theta: Double): Iterator[Array[Int]] = {
-    val n = elemsByAttr.map(_.length)
-    if (n.exists(_ < k) || n.exists(_ == 0)) Iterator.empty
-    else proportionalSubsets(elemsByAttr, maximalProfilePro(n, delta, theta), k, delta, theta)
-  }
+                     theta: Double): Iterator[Array[Int]] =
+    subsets(elemsByAttr, k, delta, Some(theta))
 
-  /** `CombinationPro` over its profile `prof`: empty unless `prof` is itself
-    * proportion-fair.
+  /** The body of every `Combination` (`CombinationPro` when `theta` is
+    * given): class-size guard, profile, explosion guard, then the product.
+    * A proportional profile that is not itself proportion-fair (θ > 0.5)
+    * emits nothing, so it is never refused as an explosion.
     */
-  private def proportionalSubsets(elemsByAttr: Array[Array[Int]], prof: Array[Int], k: Int,
-                                  delta: Int, theta: Double): Iterator[Array[Int]] = {
-    require(elemsByAttr.length == 2, "proportional models are implemented for 2 attribute values")
-    if (prof.exists(_ < k) || !isProportionFairCounts(prof, k, delta, theta)) Iterator.empty
-    else cartesian(elemsByAttr, prof)
+  private def subsets(elemsByAttr: Array[Array[Int]], k: Int, delta: Int,
+                      theta: Option[Double]): Iterator[Array[Int]] = {
+    val n = elemsByAttr.map(_.length)
+    if (n.exists(_ < k) || n.exists(_ == 0)) return Iterator.empty
+    require(theta.isEmpty || n.length == 2, "proportional models are implemented for 2 attribute values")
+    val profile = theta.fold(maximalProfile(n, delta))(maximalProfilePro(n, delta, _))
+    if (theta.exists(t => !isProportionFairCounts(profile, k, delta, t))) return Iterator.empty
+    val count = combinationCount(n, profile)
+    require(count <= MaxCombinationsPerBiclique,
+      s"Combination explosion: $count candidate subsets in one set " +
+      s"(classes ${n.mkString("x")}, δ=$delta); choose stricter parameters")
+    cartesian(elemsByAttr, profile)
   }
 
   /** Cartesian product of per-class size-`profile(a)` combinations. */

@@ -104,4 +104,18 @@ class FairBCEMSpec extends AnyFunSuite {
       assert(deg == ido)
     }
   }
+
+  test("NSF equals FairBCEM beyond brute-force reach (300x150 planted graph)") {
+    // NSF runs Alg 5 without Observations 2/4/5, so on a graph with planted
+    // blocks it explores deep unpruned branches that the small brute-force
+    // graphs above never reach.
+    val g = SynthBipartite.generate(SynthBipartite.youtubeS.copy(
+      nU = 300, nV = 150, blocks = 8, blockVMin = 5, blockVMax = 8, noiseEdges = 500))
+    for ((p, expected) <- Seq(FairParams(3, 2, 2) -> 24, FairParams(2, 2, 1) -> 103)) {
+      val fair = ssfbcSet(FairBCEM.enumerate(g, p))
+      val nsf  = ssfbcSet(FairBCEM.enumerate(g, p, naive = true))
+      assert(fair.size == expected, s"$p")
+      assert(nsf == fair, s"$p: NSF ${nsf.size} vs FairBCEM ${fair.size}")
+    }
+  }
 }

@@ -147,4 +147,20 @@ class FairSetSpec extends AnyFunSuite {
     assert(FairSet.combination(Array(Array(1, 2), Array(3)), 2, 1).isEmpty)
     assert(FairSet.combination(Array(Array(1, 2), Array.empty[Int]), 1, 1).isEmpty)
   }
+
+  test("combination and combinationPro refuse a Combination explosion") {
+    // Classes of 30 and 15 at δ=0: profile (15, 15), C(30,15) ≈ 1.6e8 subsets.
+    val gs = Array(Array.range(0, 30), Array.range(100, 115))
+    val plain = intercept[IllegalArgumentException](FairSet.combination(gs, 1, 0))
+    assert(plain.getMessage.contains("Combination explosion"))
+    val pro = intercept[IllegalArgumentException](FairSet.combinationPro(gs, 1, 0, 0.5))
+    assert(pro.getMessage.contains("Combination explosion"))
+  }
+
+  test("combinationPro with no proportion-fair profile is empty, not an explosion") {
+    // With 2 classes no set has both shares ≥ θ = 0.6, so nothing is
+    // emitted, although the profile (10, 10) counts C(30,10)·C(15,10) ≈ 9e10.
+    val gs = Array(Array.range(0, 30), Array.range(100, 115))
+    assert(FairSet.combinationPro(gs, 1, 0, 0.6).isEmpty)
+  }
 }
