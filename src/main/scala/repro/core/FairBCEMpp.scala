@@ -1,11 +1,12 @@
 package repro.core
 
-import repro.graph.{BipartiteGraph, SortedOps}
+import repro.graph.BipartiteGraph
 
 /** `FairBCEM++` (Alg 6): enumerate maximal bicliques iMBEA-style (bulk
   * absorption of fully-connected candidates), then extract all single-side
   * fair bicliques from each via the `Combination` enumeration (Alg 7),
-  * keeping `r'` only when `N(r') = L'`.
+  * keeping `r'` only when `N(r') = L'`; that filter runs inside the
+  * Combination walk, on bitsets shared by the walk's prefixes.
   *
   * `proportional = true` gives `FairBCEMPro++`: the fair-set inspection and
   * the combination step use the proportion model (Def 5, `CombinationPro`).
@@ -46,31 +47,77 @@ object FairBCEMpp {
       potential.forall(_ >= p.beta)
     }
 
-    /** Lines 26-28: enumerate maximal fair subsets r' of R' (Alg 7 /
+    /** Lines 26-28: enumerate the maximal fair subsets r' of R' (Alg 7 /
       * CombinationPro) and keep those whose common neighbourhood is exactly
       * L' (otherwise the same r' is found under a larger-L biclique).
+      *
+      * r' has N(r') = L' iff the sets N(v) \ L' of its members have an
+      * empty intersection. They are bitsets over the union of those outside
+      * neighbours, and the filter runs inside the Combination walk: one
+      * running AND per depth, recomputed only from the depth the walk
+      * changed. Once a prefix's AND is empty every completion is kept with
+      * no further test; a rejected r' allocates nothing, and the kept ones
+      * share one L'.
       */
     private def emitFairSubsets(l1: Array[Int], r1: List[Int], out: Biclique => Unit): Unit = {
-      val combos = FairSet.maximalFairSubsets(r1, g.attrV, g.nAttrV, p.beta, p, proportional)
-      if (!combos.hasNext) return
+      val rs = r1.toArray
+      java.util.Arrays.sort(rs)
+      val walk = FairSet.walk(rs, rs.map(g.attrV), g.nAttrV, p.beta, p.delta,
+                              if (proportional) Some(p.theta) else None)
+      if (walk == null) return
 
-      // ext(v) = N(v) \ L' — r' has N(r') = L' iff the ext sets of its
-      // members have empty intersection.
-      val ext = new java.util.HashMap[Integer, Array[Int]]()
-      r1.foreach(v => ext.put(v, diffSorted(g.adjV(v), l1)))
-
-      combos.foreach { rPrime =>
-        var acc: Array[Int] = null
-        var k = 0
-        var nonEmpty = true
-        while (k < rPrime.length && nonEmpty) {
-          val e = ext.get(rPrime(k))
-          acc = if (acc == null) e else SortedOps.intersect(acc, e)
-          if (acc.isEmpty) nonEmpty = false
-          k += 1
+      // Outside neighbours of each member, indexed by rank in their union.
+      val ext  = rs.map(v => diffSorted(g.adjV(v), l1))
+      val outs = ext.flatten
+      java.util.Arrays.sort(outs)
+      val nOut = dedup(outs)
+      val nw   = (nOut + 63) >>> 6
+      val bits = new Array[Long](rs.length * nw)
+      var i = 0
+      while (i < rs.length) {
+        ext(i).foreach { u =>
+          val b = java.util.Arrays.binarySearch(outs, 0, nOut, u)
+          bits(i * nw + (b >>> 6)) |= 1L << b
         }
-        if (!nonEmpty || (acc != null && acc.isEmpty)) out(Biclique.of(l1, rPrime))
+        i += 1
       }
+
+      // and(d) (words d*nw until (d+1)*nw) is the AND over the members at
+      // depths below d; `empty` is the shallowest depth where it is empty.
+      val size  = walk.size
+      val and   = new Array[Long]((size + 1) * nw)
+      java.util.Arrays.fill(and, 0, nw, -1L)
+      var empty = if (nw == 0) 0 else size + 1
+      val left  = l1.toVector
+      var from  = 0
+      while (from >= 0) {
+        if (empty > from) {
+          empty = size + 1
+          var d = from
+          while (d < size && empty > size) {
+            val m = walk.pos(d) * nw
+            var any = 0L
+            var w   = 0
+            while (w < nw) {
+              val x = and(d * nw + w) & bits(m + w)
+              and((d + 1) * nw + w) = x
+              any |= x
+              w += 1
+            }
+            if (any == 0L) empty = d + 1
+            d += 1
+          }
+        }
+        if (empty <= size) out(Biclique(left, Vector.tabulate(size)(d => rs(walk.pos(d)))))
+        from = walk.advance()
+      }
+    }
+
+    /** Drops repeats from sorted `a` in place; returns the distinct count. */
+    private def dedup(a: Array[Int]): Int = {
+      var n = 0; var i = 0
+      while (i < a.length) { if (n == 0 || a(n - 1) != a(i)) { a(n) = a(i); n += 1 }; i += 1 }
+      n
     }
 
     private def diffSorted(a: Array[Int], b: Array[Int]): Array[Int] = {

@@ -7,7 +7,8 @@ package repro.core
   * A set with per-attribute counts `c` is *fair* w.r.t. `(k, δ)` when every
   * `c(a) ≥ k` and every pairwise difference `|c(a) - c(b)| ≤ δ`. Elements of
   * the same attribute class are interchangeable for fairness, so all checks
-  * reduce to count profiles.
+  * reduce to count profiles. Every `Combination` entry point runs one
+  * walk (`Walk`) that emits each maximal fair subset once, sorted.
   */
 object FairSet {
 
@@ -120,17 +121,17 @@ object FairSet {
     */
   val MaxCombinationsPerBiclique: Long = 20_000_000L
 
-  /** The one `Combination` entry point of the searchers: group `members`
-    * by `attr`, then enumerate their maximal fair subsets w.r.t. `(k, δ)`
+  /** The one `Combination` entry point of the searchers: enumerate the
+    * maximal fair subsets of `members` (classes by `attr`) w.r.t. `(k, δ)`
     * (`CombinationPro` when `proportional`). Empty when some class has
     * fewer than `k` members; throws when the subsets would number more
     * than `MaxCombinationsPerBiclique`.
     */
   def maximalFairSubsets(members: Iterable[Int], attr: Array[Int], nAttr: Int, k: Int,
                          p: FairParams, proportional: Boolean): Iterator[Array[Int]] = {
-    val byAttr = Array.fill(nAttr)(new scala.collection.mutable.ArrayBuffer[Int]())
-    members.foreach(v => byAttr(attr(v)) += v)
-    subsets(byAttr.map(_.toArray), k, p.delta, if (proportional) Some(p.theta) else None)
+    val ms = members.toArray
+    java.util.Arrays.sort(ms)
+    iterator(walk(ms, ms.map(attr), nAttr, k, p.delta, if (proportional) Some(p.theta) else None))
   }
 
   /** Alg 7 `Combination`: all maximal fair subsets of the elements grouped
@@ -138,7 +139,7 @@ object FairSet {
     * some class is smaller than `k`; throws like `maximalFairSubsets`.
     */
   def combination(elemsByAttr: Array[Array[Int]], k: Int, delta: Int): Iterator[Array[Int]] =
-    subsets(elemsByAttr, k, delta, None)
+    grouped(elemsByAttr, k, delta, None)
 
   /** `CombinationPro`: maximal *proportion*-fair subsets. Two-attribute
     * setting only; the emitted profile always satisfies the ratio bound
@@ -146,36 +147,103 @@ object FairSet {
     */
   def combinationPro(elemsByAttr: Array[Array[Int]], k: Int, delta: Int,
                      theta: Double): Iterator[Array[Int]] =
-    subsets(elemsByAttr, k, delta, Some(theta))
+    grouped(elemsByAttr, k, delta, Some(theta))
 
-  /** The body of every `Combination` (`CombinationPro` when `theta` is
-    * given): class-size guard, profile, explosion guard, then the product.
-    * A proportional profile that is not itself proportion-fair (θ > 0.5)
-    * emits nothing, so it is never refused as an explosion.
-    */
-  private def subsets(elemsByAttr: Array[Array[Int]], k: Int, delta: Int,
+  /** The walk over the elements of `elemsByAttr` in ascending id order. */
+  private def grouped(elemsByAttr: Array[Array[Int]], k: Int, delta: Int,
                       theta: Option[Double]): Iterator[Array[Int]] = {
-    val n = elemsByAttr.map(_.length)
-    if (n.exists(_ < k) || n.exists(_ == 0)) return Iterator.empty
+    // (id, class) packed so that one primitive sort orders by id.
+    val keys = elemsByAttr.indices.toArray.flatMap(a => elemsByAttr(a).map(v => (v.toLong << 32) | a))
+    java.util.Arrays.sort(keys)
+    iterator(walk(keys.map(x => (x >> 32).toInt), keys.map(_.toInt), elemsByAttr.length, k, delta, theta))
+  }
+
+  /** The guards of every `Combination` (`CombinationPro` when `theta` is
+    * given): class sizes, profile, explosion; then the `Walk` over
+    * `members` (ascending) with classes `cls`, or null when there is
+    * nothing to emit. A proportional profile that is not itself
+    * proportion-fair (θ > 0.5) emits nothing, so it is never refused as an
+    * explosion.
+    */
+  private[core] def walk(members: Array[Int], cls: Array[Int], nAttr: Int, k: Int, delta: Int,
+                         theta: Option[Double]): Walk = {
+    val n = new Array[Int](nAttr)
+    cls.foreach(a => n(a) += 1)
+    if (n.exists(_ < k) || n.exists(_ == 0)) return null
     require(theta.isEmpty || n.length == 2, "proportional models are implemented for 2 attribute values")
     val profile = theta.fold(maximalProfile(n, delta))(maximalProfilePro(n, delta, _))
-    if (theta.exists(t => !isProportionFairCounts(profile, k, delta, t))) return Iterator.empty
+    if (theta.exists(t => !isProportionFairCounts(profile, k, delta, t))) return null
     val count = combinationCount(n, profile)
     require(count <= MaxCombinationsPerBiclique,
       s"Combination explosion: $count candidate subsets in one set " +
       s"(classes ${n.mkString("x")}, δ=$delta); choose stricter parameters")
-    cartesian(elemsByAttr, profile)
+    new Walk(members, cls, profile)
   }
 
-  /** Cartesian product of per-class size-`profile(a)` combinations. */
-  private def cartesian(elemsByAttr: Array[Array[Int]], profile: Array[Int]): Iterator[Array[Int]] = {
-    // Fold classes left to right, lazily.
-    var acc: Iterator[List[Array[Int]]] = Iterator(Nil)
-    for (a <- elemsByAttr.indices) {
-      val before = acc
-      acc = before.flatMap(prefix => subsetsOfSize(elemsByAttr(a), profile(a)).map(s => s :: prefix))
+  /** The subsets of `w` as fresh sorted arrays. */
+  private def iterator(w: Walk): Iterator[Array[Int]] =
+    if (w == null) Iterator.empty
+    else new Iterator[Array[Int]] {
+      private var more = true
+      def hasNext: Boolean = more
+      def next(): Array[Int] = {
+        if (!more) throw new NoSuchElementException("no more subsets")
+        val out = new Array[Int](w.size)
+        var d = 0
+        while (d < w.size) { out(d) = w.members(w.pos(d)); d += 1 }
+        more = w.advance() >= 0
+        out
+      }
     }
-    acc.map(parts => { val out = parts.toArray.flatten; java.util.Arrays.sort(out); out })
+
+  /** Alg 7 as one depth-first walk over `members` (ascending ids, member
+    * `i` in class `cls(i)`) that takes `profile(a)` members of every class
+    * `a`. Each step takes the next member if its class still has quota,
+    * else (or on backtracking) skips it if the rest of its class can still
+    * fill the quota, so every subset is reached once and comes out sorted,
+    * in lexicographic order. The stack is explicit: `pos(d)` is the index
+    * of the member taken at depth `d`, starting at the first subset, and
+    * `advance` reports the shallowest depth it changed, so a caller can
+    * keep per-depth state of the prefix (the N(r') = L' filter of
+    * `FairBCEMpp`). Mutable; one walk per call.
+    */
+  private[core] final class Walk(val members: Array[Int], cls: Array[Int], profile: Array[Int]) {
+    /** Members in every subset: the depth of a complete one. */
+    val size: Int = profile.sum
+    val pos: Array[Int] = new Array[Int](size)
+    private val quota = profile.clone()
+    // Members of the same class after each index.
+    private val after = {
+      val left = new Array[Int](profile.length)
+      val out  = new Array[Int](members.length)
+      var i    = members.length - 1
+      while (i >= 0) { out(i) = left(cls(i)); left(cls(i)) += 1; i -= 1 }
+      out
+    }
+    fill(0, 0)
+
+    /** Move to the next subset; returns the shallowest depth whose member
+      * changed, or -1 (after which the walk is spent) when there is none.
+      */
+    def advance(): Int = {
+      var d = size - 1
+      while (d >= 0) {
+        val i = pos(d)
+        quota(cls(i)) += 1
+        if (after(i) >= quota(cls(i))) { fill(d, i + 1); return d }
+        d -= 1
+      }
+      -1
+    }
+
+    /** Take greedily from member `i0` on, filling depths `d0 until size`. */
+    private def fill(d0: Int, i0: Int): Unit = {
+      var d = d0; var i = i0
+      while (d < size) {
+        if (quota(cls(i)) > 0) { quota(cls(i)) -= 1; pos(d) = i; d += 1 }
+        i += 1
+      }
+    }
   }
 
   /** All size-`k` subsets of `elems`, in lexicographic index order. */

@@ -53,6 +53,38 @@ class FairBCEMppSpec extends AnyFunSuite {
     assert(asSet(FairBCEM.enumerate(g, p)) == asSet(FairBCEMpp.enumerate(g, p)))
   }
 
+  test("FairBCEM++ equals FairBCEM on the youtube-s analogue at (4,4,2)") {
+    // Most of its non-fair maximal bicliques have more than 64 neighbours
+    // outside L', so the N(r') = L' bitsets span several words.
+    val g = SynthBipartite.generate(SynthBipartite.youtubeS)
+    val p = FairParams(4, 4, 2)
+    for (ordering <- VertexOrdering.all) {
+      val a = asSet(FairBCEM.enumerate(g, p, ordering))
+      val b = asSet(FairBCEMpp.enumerate(g, p, ordering))
+      assert(a.size == 10316, s"ord=${ordering.name}")
+      assert(a == b, s"ord=${ordering.name}: FairBCEM=${a.size} FairBCEM++=${b.size}")
+    }
+  }
+
+  test("FairBCEM++ and FairBCEMPro++ equal MBEA, Combination and the N(r') = L' filter (planted graph)") {
+    val cfg   = SynthBipartite.youtubeS.copy(nU = 300, nV = 120, blocks = 10, noiseEdges = 500)
+    val g0    = SynthBipartite.generate(cfg)
+    val p     = FairParams(3, 2, 2)
+    val alive = CFCore.prune(g0, p.alpha, p.beta)
+    val g     = g0.restrict(alive.u, alive.v)
+    val mbs   = MBEA.enumerate(g, p.alpha, 0)
+    for (proportional <- Seq(false, true)) {
+      val exp = mbs.flatMap { mb =>
+        FairSet.maximalFairSubsets(mb.right, g.attrV, g.nAttrV, p.beta, p, proportional)
+          .filter(r => g.commonNeighborsOfV(r).toVector == mb.left)
+          .map(r => Biclique(mb.left, r.toVector))
+      }
+      assert(exp.nonEmpty, s"proportional=$proportional")
+      assert(asSet(FairBCEMpp.enumerate(g0, p, proportional = proportional)) == asSet(exp),
+        s"proportional=$proportional")
+    }
+  }
+
   test("a searcher over the unrestricted graph sees only alive vertices") {
     for (seed <- 0 until 12; ordering <- VertexOrdering.all; proportional <- Seq(false, true)) {
       val g0    = SynthBipartite.randomSmall(7000 + seed, 14, 16, 0.4)

@@ -99,6 +99,29 @@ class FairSetSpec extends AnyFunSuite {
     assert(got == exp)
   }
 
+  // 2-4 classes over ids 0, 3, 6, ..., each id in a random class, so the
+  // classes interleave in id order.
+  private val interleavedGen: Gen[(Array[Array[Int]], Int, Int)] = for {
+    c     <- Gen.choose(2, 4)
+    cls   <- Gen.choose(0, 12).flatMap(Gen.listOfN(_, Gen.choose(0, c - 1)))
+    k     <- Gen.choose(1, 3)
+    delta <- Gen.choose(0, 3)
+  } yield (Array.tabulate(c)(a => cls.indices.filter(cls(_) == a).map(_ * 3).toArray), k, delta)
+
+  test("Combination emits each maximal fair subset exactly once, sorted, over interleaved classes") {
+    checkProp(Prop.forAll(interleavedGen) { case (gs, k, delta) =>
+      val n    = gs.map(_.length)
+      val got  = FairSet.combination(gs, k, delta).map(_.toVector).toVector
+      val want =
+        if (n.exists(na => na < k || na == 0)) BigInt(0)
+        else FairSet.combinationCount(n, FairSet.maximalProfile(n, delta))
+      BigInt(got.size) == want &&
+        got.forall(s => s.indices.drop(1).forall(i => s(i - 1) < s(i))) &&
+        got.distinct.size == got.size &&
+        got.map(_.toSet).toSet == BruteForce.maximalFairSubsets(gs, k, delta)
+    })
+  }
+
   test("CombinationPro returns exactly the maximal proportion-fair subsets (2 classes)") {
     checkProp(Prop.forAll(groupGen) { case (n0, n1, k, delta) =>
       val gs = groups(n0, n1)
