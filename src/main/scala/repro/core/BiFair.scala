@@ -17,13 +17,31 @@ object BiFair {
   case object UseFairBCEMpp extends Phase1 // BFairBCEM++
   case object UseNSF        extends Phase1 // BNSF
 
+  /** Alg 9 on `g0`. Throws `IllegalArgumentException` for a choice phase
+    * 1 cannot run: `proportional` on any phase 1 but FairBCEM++ (whose
+    * maximal *fair* right sides the proportional check would reject), or a
+    * time budget on FairBCEM++, which has no deadline.
+    */
   def enumerate(g0: BipartiteGraph, p: FairParams,
                 ordering: VertexOrdering = VertexOrdering.DegOrd,
                 phase1: Phase1 = UseFairBCEMpp,
                 proportional: Boolean = false,
                 timeoutMs: Long = 0): Vector[Biclique] = {
-    val alive = CFCore.biPrune(g0, p.alpha, p.beta)
-    enumerateOn(g0.restrict(alive.u, alive.v), alive, p, ordering, phase1, proportional, timeoutMs)
+    require(!proportional || phase1 == UseFairBCEMpp,
+      s"the proportional model (BFairBCEMPro++) needs phase 1 UseFairBCEMpp, not $phase1")
+    require(timeoutMs <= 0 || phase1 != UseFairBCEMpp, s"phase 1 $phase1 takes no time budget")
+    val c = CFCore.biPruned(g0, p.alpha, p.beta)
+    val h = c.graph
+    // Phase 1 emits ids of the compact graph, on which each result is
+    // expanded; the expansion's output is translated to ids of `g0`.
+    val ssfbcs: RootSearch = phase1 match {
+      case UseFairBCEM   => new FairBCEM.Searcher(h, null, null, p, naive = false, FairBCEM.deadline(timeoutMs))
+      case UseNSF        => new FairBCEM.Searcher(h, null, null, p, naive = true, FairBCEM.deadline(timeoutMs))
+      case UseFairBCEMpp => new FairBCEMpp.Searcher(h, null, null, p, proportional)
+    }
+    val out = Vector.newBuilder[Biclique]
+    ssfbcs.enumerate(ordering, b => expandLeft(h, c.uIds, c.vIds, p, b, proportional, out += _))
+    out.result()
   }
 
   /** `enumerate` that returns None instead of throwing on timeout. */
@@ -32,34 +50,26 @@ object BiFair {
     try Some(enumerate(g0, p, ordering, phase1, proportional = false, timeoutMs))
     catch { case _: FairBCEM.SearchTimeout => None }
 
-  /** `enumerate` on an already-pruned graph. Throws
-    * `IllegalArgumentException` for a choice phase 1 cannot run:
-    * `proportional` on any phase 1 but FairBCEM++ (whose maximal *fair*
-    * right sides the proportional check would reject), or a time budget
-    * on FairBCEM++, which has no deadline.
-    */
-  def enumerateOn(g: BipartiteGraph, alive: FCore.Alive, p: FairParams,
-                  ordering: VertexOrdering, phase1: Phase1,
-                  proportional: Boolean, timeoutMs: Long = 0): Vector[Biclique] = {
-    require(!proportional || phase1 == UseFairBCEMpp,
-      s"the proportional model (BFairBCEMPro++) needs phase 1 UseFairBCEMpp, not $phase1")
-    require(timeoutMs <= 0 || phase1 != UseFairBCEMpp, s"phase 1 $phase1 takes no time budget")
-    val ssfbcs: Vector[Biclique] = phase1 match {
-      case UseFairBCEM   => FairBCEM.enumerateOn(g, alive, p, ordering, naive = false, timeoutMs)
-      case UseNSF        => FairBCEM.enumerateOn(g, alive, p, ordering, naive = true, timeoutMs)
-      case UseFairBCEMpp => FairBCEMpp.enumerateOn(g, alive, p, ordering, proportional)
-    }
-    ssfbcs.flatMap(b => expandLeft(g, p, b, proportional))
-  }
-
-  /** Lines 4-8 of Alg 9 for one single-side fair biclique. Exposed so
-    * `DistEnum` can run phase 2 as a Spark flatMap over phase-1 results.
+  /** Lines 4-8 of Alg 9 for one single-side fair biclique, in the ids of
+    * `g`. Exposed so `DistEnum` can run phase 2 as a Spark flatMap over
+    * phase-1 results.
     */
   def expandLeft(g: BipartiteGraph, p: FairParams, ssfbc: Biclique,
                  proportional: Boolean): Vector[Biclique] = {
-    val out     = Vector.newBuilder[Biclique]
+    val out = Vector.newBuilder[Biclique]
+    expandLeft(g, null, null, p, ssfbc, proportional, out += _)
+    out.result()
+  }
+
+  /** `expandLeft` into `out`, emitting U vertex u as `uIds(u)` and V
+    * vertex v as `vIds(v)` (null: unchanged). The maps are monotone, so
+    * l′ (sorted by the walk) stays sorted; R′ is mapped once per call.
+    */
+  private def expandLeft(g: BipartiteGraph, uIds: Array[Int], vIds: Array[Int], p: FairParams,
+                         ssfbc: Biclique, proportional: Boolean, out: Biclique => Unit): Unit = {
     val combos  = FairSet.maximalFairSubsets(ssfbc.left, g.attrU, g.nAttrU, p.alpha, p, proportional)
     val rCounts = FairSet.counts(ssfbc.right, g.attrV, g.nAttrV)
+    lazy val right = ssfbc.right.map(RootSearch.id(vIds, _)).sorted
     combos.foreach { lPrime =>
       // R' must be a maximal fair subset of N(l') (count-level suffices:
       // elements of one class are interchangeable).
@@ -70,8 +80,7 @@ object BiFair {
           FairSet.isMaximalProportionFairSubsetCounts(nlCounts, rCounts, p.beta, p.delta, p.theta)
         else
           FairSet.isMaximalFairSubsetCounts(nlCounts, rCounts, p.beta, p.delta)
-      if (ok) out += Biclique.of(lPrime, ssfbc.right)
+      if (ok) out(Biclique(Vector.tabulate(lPrime.length)(i => RootSearch.id(uIds, lPrime(i))), right))
     }
-    out.result()
   }
 }

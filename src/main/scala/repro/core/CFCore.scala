@@ -5,10 +5,11 @@ import repro.graph.{AttributedGraph, BipartiteGraph, Coloring}
 /** Colorful fair α-β core pruning (Alg 2 `CFCore`) and the bi-side variant
   * `BCFCore`.
   *
-  * Pipeline (single-side): FCore → 2-hop graph H on the fair side (Alg 3) →
-  * degree prune (< |A_V|·β − 1) → greedy colouring → ego colorful β-core
-  * peel (Defs 9-10) → remove peeled V-vertices from the bipartite graph →
-  * FCore again.
+  * Pipeline (single-side): FCore on the input → compact graph of its
+  * survivors → 2-hop graph H on the fair side (Alg 3) → degree prune
+  * (< |A_V|·β − 1) → greedy colouring → ego colorful β-core peel (Defs
+  * 9-10) → FCore again with the peeled V-vertices removed → compact graph
+  * of what survives. Only the first peel reads the input graph.
   */
 object CFCore {
 
@@ -57,23 +58,47 @@ object CFCore {
     alive
   }
 
-  /** Alg 2 `CFCore`: FCore → 2-hop graph → colourful side step → FCore. */
-  def prune(g: BipartiteGraph, alpha: Int, beta: Int): FCore.Alive = {
+  /** Alg 2 `CFCore` as alive masks over the ids of `g`. */
+  def prune(g: BipartiteGraph, alpha: Int, beta: Int): FCore.Alive = lift(pruned(g, alpha, beta), g)
+
+  /** `BCFCore` as alive masks over the ids of `g`. */
+  def biPrune(g: BipartiteGraph, alpha: Int, beta: Int): FCore.Alive = lift(biPruned(g, alpha, beta), g)
+
+  /** Alg 2 `CFCore`: FCore on `g`, then on the compact graph of its
+    * survivors the 2-hop graph, the colourful side step and FCore again.
+    * Returns the compact graph of what survives, with ids into `g`.
+    */
+  def pruned(g: BipartiteGraph, alpha: Int, beta: Int): BipartiteGraph.Compact = {
     val core1  = FCore.fairCore(g, alpha, beta)
-    val aliveV = colorfulSide(TwoHop.construct(g, alpha, core1.u, core1.v), beta, core1.v)
-    FCore.fairCore(g, alpha, beta, initU = Some(core1.u), initV = Some(aliveV))
+    val c      = g.compact(core1.u, core1.v)
+    val h      = c.graph
+    val allU   = Array.fill(h.nU)(true)
+    val allV   = Array.fill(h.nV)(true)
+    val aliveV = colorfulSide(TwoHop.construct(h, alpha, allU, allV), beta, allV)
+    val core2  = FCore.fairCore(h, alpha, beta, initU = Some(allU), initV = Some(aliveV))
+    c.compact(core2.u, core2.v)
   }
 
-  /** `BCFCore`: bi-side pipeline — BFCore, then the colourful side step
-    * on the V-side bi-2-hop graph (Alg 8; k = β), then on the U-side
-    * bi-2-hop graph of `g.transpose` (k = α), then BFCore again.
+  /** `BCFCore`: BFCore on `g`, then on the compact graph of its survivors
+    * the colourful side step on the V-side bi-2-hop graph (Alg 8; k = β),
+    * then on the U-side bi-2-hop graph of the transpose (k = α), then
+    * BFCore again. Returns the compact graph of what survives.
     */
-  def biPrune(g: BipartiteGraph, alpha: Int, beta: Int): FCore.Alive = {
+  def biPruned(g: BipartiteGraph, alpha: Int, beta: Int): BipartiteGraph.Compact = {
     val core1  = FCore.biFairCore(g, alpha, beta)
-    val aliveV = colorfulSide(TwoHop.biConstruct(g, alpha, core1.u, core1.v), beta, core1.v)
-    val aliveU = colorfulSide(TwoHop.biConstruct(g.transpose, beta, aliveV, core1.u), alpha, core1.u)
-    FCore.biFairCore(g, alpha, beta, initU = Some(aliveU), initV = Some(aliveV))
+    val c      = g.compact(core1.u, core1.v)
+    val h      = c.graph
+    val allU   = Array.fill(h.nU)(true)
+    val allV   = Array.fill(h.nV)(true)
+    val aliveV = colorfulSide(TwoHop.biConstruct(h, alpha, allU, allV), beta, allV)
+    val aliveU = colorfulSide(TwoHop.biConstruct(h.transpose, beta, aliveV, allU), alpha, allU)
+    val core2  = FCore.biFairCore(h, alpha, beta, initU = Some(aliveU), initV = Some(aliveV))
+    c.compact(core2.u, core2.v)
   }
+
+  /** The survivors of `c` as masks over the ids of `g`: no edge is read. */
+  private def lift(c: BipartiteGraph.Compact, g: BipartiteGraph): FCore.Alive =
+    FCore.Alive(BipartiteGraph.mask(c.uIds, g.nU), BipartiteGraph.mask(c.vIds, g.nV))
 
   /** Alg 2 lines 4-8 on one side's 2-hop graph `h`. A fair biclique has
     * ≥ |A|·k vertices on this side, all pairwise adjacent in H, so a vertex

@@ -5,8 +5,10 @@ import repro.graph.BipartiteGraph
 /** Fair α-β core pruning (Alg 1 `FCore`) and the bi-side variant `BFCore`
   * (Def 13), as linear-time peeling over the in-memory graph.
   *
-  * Both return alive masks rather than rebuilt graphs so callers can chain
-  * prunes cheaply and only materialise (`BipartiteGraph.restrict`) once.
+  * Both return alive masks over the ids of the graph they peel. The
+  * pruners run the first peel on the input and go on with the compact
+  * graph of its survivors (`BipartiteGraph.compact`), so no later stage
+  * walks the input's id space.
   */
 object FCore {
 
@@ -21,7 +23,10 @@ object FCore {
     * below α. Runs in O(E + V) like the classic core decomposition.
     *
     * @param initU optional starting alive mask for U (vertices already
-    *              pruned by an earlier phase); same for `initV`.
+    *              pruned by an earlier phase); same for `initV`. Without
+    *              one, a side starts from the vertices whose plain degree
+    *              reaches the sum of its class thresholds: a superset of
+    *              the core, so the peel reaches the same unique core.
     */
   def fairCore(g: BipartiteGraph, alpha: Int, beta: Int,
                initU: Option[Array[Boolean]] = None,
@@ -42,9 +47,11 @@ object FCore {
     */
   private def peel(g: BipartiteGraph, alpha: Int, beta: Int, classU: Array[Int], nClassU: Int,
                    initU: Option[Array[Boolean]], initV: Option[Array[Boolean]]): Alive = {
-    val aliveU = initU.map(_.clone()).getOrElse(Array.fill(g.nU)(true))
-    val aliveV = initV.map(_.clone()).getOrElse(Array.fill(g.nV)(true))
     val nA     = g.nAttrV
+    // The degree seed: neither pass below reads the adjacency of a vertex
+    // whose plain degree already rules it out.
+    val aliveU = initU.map(_.clone()).getOrElse(degreeSeed(g.adjU, nA * beta))
+    val aliveV = initV.map(_.clone()).getOrElse(degreeSeed(g.adjV, nClassU * alpha))
 
     // degU(u·nA + a): alive V-neighbours of u with attribute a;
     // degV(v·nClassU + c): alive U-neighbours of v in class c.
@@ -52,17 +59,23 @@ object FCore {
     val degV = new Array[Int](g.nV * nClassU)
     var u = 0
     while (u < g.nU) {
-      if (aliveU(u)) g.adjU(u).foreach(v => if (aliveV(v)) degU(u * nA + g.attrV(v)) += 1)
+      if (aliveU(u)) {
+        val ns = g.adjU(u); var j = 0
+        while (j < ns.length) { if (aliveV(ns(j))) degU(u * nA + g.attrV(ns(j))) += 1; j += 1 }
+      }
       u += 1
     }
     var v = 0
     while (v < g.nV) {
-      if (aliveV(v)) g.adjV(v).foreach(w => if (aliveU(w)) degV(v * nClassU + classU(w)) += 1)
+      if (aliveV(v)) {
+        val ns = g.adjV(v); var j = 0
+        while (j < ns.length) { if (aliveU(ns(j))) degV(v * nClassU + classU(ns(j))) += 1; j += 1 }
+      }
       v += 1
     }
 
     // Removed vertices, U as u and V as nU + v; each enters once.
-    val queue = new Array[Int](g.nU + g.nV)
+    val queue = new Array[Int](count(aliveU) + count(aliveV))
     var tail  = 0
     def below(deg: Array[Int], row: Int, n: Int, k: Int): Boolean = {
       var c = 0
@@ -108,5 +121,19 @@ object FCore {
       }
     }
     Alive(aliveU, aliveV)
+  }
+
+  /** The vertices with at least `k` neighbours. */
+  private def degreeSeed(adj: Array[Array[Int]], k: Int): Array[Boolean] = {
+    val alive = new Array[Boolean](adj.length)
+    var x = 0
+    while (x < adj.length) { alive(x) = adj(x).length >= k; x += 1 }
+    alive
+  }
+
+  private def count(mask: Array[Boolean]): Int = {
+    var n = 0; var x = 0
+    while (x < mask.length) { if (mask(x)) n += 1; x += 1 }
+    n
   }
 }

@@ -25,8 +25,8 @@ object FairBCEM {
   def enumerate(g0: BipartiteGraph, p: FairParams,
                 ordering: VertexOrdering = VertexOrdering.DegOrd,
                 naive: Boolean = false, timeoutMs: Long = 0): Vector[Biclique] = {
-    val alive = CFCore.prune(g0, p.alpha, p.beta)
-    enumerateOn(g0.restrict(alive.u, alive.v), alive, p, ordering, naive, timeoutMs)
+    val c = CFCore.pruned(g0, p.alpha, p.beta)
+    new Searcher(c.graph, c.uIds, c.vIds, p, naive, deadline(timeoutMs)).enumerate(ordering)
   }
 
   /** `enumerate` that returns None instead of throwing on timeout. */
@@ -36,26 +36,36 @@ object FairBCEM {
     catch { case _: SearchTimeout => None }
 
   /** Enumerate on an already-pruned graph (alive masks tell which vertices
-    * participate); used by `BiFair`, which prunes separately.
+    * participate; ids of `g` out).
     */
   def enumerateOn(g: BipartiteGraph, alive: FCore.Alive, p: FairParams,
                   ordering: VertexOrdering, naive: Boolean,
-                  timeoutMs: Long = 0): Vector[Biclique] = {
-    val deadline = if (timeoutMs <= 0) Long.MaxValue else System.nanoTime() + timeoutMs * 1000000L
-    new Searcher(g, alive, p, naive, deadline).enumerate(ordering)
-  }
+                  timeoutMs: Long = 0): Vector[Biclique] =
+    new Searcher(g, alive, p, naive, deadline(timeoutMs)).enumerate(ordering)
 
-  /** One search instance over a fixed pruned graph. Alg 5 has no C-set:
-    * `runRoot` always returns an empty one, so the sequential driver runs
-    * every root.
+  /** The `System.nanoTime` deadline of a budget of `timeoutMs` (0: none). */
+  private[core] def deadline(timeoutMs: Long): Long =
+    if (timeoutMs <= 0) Long.MaxValue else System.nanoTime() + timeoutMs * 1000000L
+
+  /** One search instance over a fixed compact graph (ids out through
+    * `uIds`/`vIds`, see `RootSearch`). Alg 5 has no C-set: `runRoot`
+    * always returns an empty one, so the sequential driver runs every root.
     *
     * Nodes use the candidate layout of `IMBEA` but keep Alg 5's own
     * counting (one sorted intersection per candidate), so the two searches
     * stay independent cross-checks of each other.
     */
-  final class Searcher(g: BipartiteGraph, alive: FCore.Alive,
+  final class Searcher(g: BipartiteGraph, uIds: Array[Int], vIds: Array[Int],
                        val p: FairParams, val naive: Boolean,
-                       val deadlineNanos: Long = Long.MaxValue) extends RootSearch(g, alive) {
+                       val deadlineNanos: Long) extends RootSearch(g, uIds, vIds) {
+
+    private def this(c: BipartiteGraph.Compact, p: FairParams, naive: Boolean, deadlineNanos: Long) =
+      this(c.graph, c.uIds, c.vIds, p, naive, deadlineNanos)
+
+    /** The search over the alive vertices of `g`, emitting the ids of `g`. */
+    def this(g: BipartiteGraph, alive: FCore.Alive, p: FairParams, naive: Boolean,
+             deadlineNanos: Long = Long.MaxValue) =
+      this(g.compact(alive.u, alive.v), p, naive, deadlineNanos)
 
     def runRoot(roots: Array[Int], i: Int, out: Biclique => Unit): Array[Int] = {
       processNode(roots, i, roots.length, allU, Nil, new Array[Int](g.nAttrV), out)
@@ -111,7 +121,7 @@ object FairBCEM {
       // `rcAll + qFC` whether or not P^FC was absorbed.
       val pool = Array.tabulate(g.nAttrV)(a => rcAll(a) + qFC(a))
       if (l1.length >= p.alpha && FairSet.isMaximalFairSubsetCounts(pool, rc2, p.beta, p.delta))
-        out(Biclique.of(l1, r2))
+        out(biclique(l1, r2))
 
       // Recurse (line 27): candidate pool must still be able to reach β
       // per attribute (second half of Observation 5).

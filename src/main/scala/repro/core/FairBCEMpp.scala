@@ -16,28 +16,37 @@ object FairBCEMpp {
   def enumerate(g0: BipartiteGraph, p: FairParams,
                 ordering: VertexOrdering = VertexOrdering.DegOrd,
                 proportional: Boolean = false): Vector[Biclique] = {
-    val alive = CFCore.prune(g0, p.alpha, p.beta)
-    enumerateOn(g0.restrict(alive.u, alive.v), alive, p, ordering, proportional)
+    val c = CFCore.pruned(g0, p.alpha, p.beta)
+    new Searcher(c.graph, c.uIds, c.vIds, p, proportional).enumerate(ordering)
   }
 
+  /** Enumerate on the alive vertices of `g` (ids of `g` out). */
   def enumerateOn(g: BipartiteGraph, alive: FCore.Alive, p: FairParams,
                   ordering: VertexOrdering, proportional: Boolean): Vector[Biclique] =
     new Searcher(g, alive, p, proportional).enumerate(ordering)
 
   /** The iMBEA kernel with fair output at each maximal biclique and the
     * per-attribute β bound on the candidate pool (second half of
-    * Observation 5). Root-parallel runs use Q = all earlier roots, a
-    * superset of the sequential Q that is safe and duplicate-free — see
-    * DESIGN.md §3.
+    * Observation 5), over the compact graph `g` (ids out through
+    * `uIds`/`vIds`, see `RootSearch`). Root-parallel runs use Q = all
+    * earlier roots, a superset of the sequential Q that is safe and
+    * duplicate-free — see DESIGN.md §3.
     */
-  final class Searcher(g: BipartiteGraph, alive: FCore.Alive,
-                       val p: FairParams, val proportional: Boolean) extends IMBEA(g, alive, p.alpha) {
+  final class Searcher(g: BipartiteGraph, uIds: Array[Int], vIds: Array[Int],
+                       val p: FairParams, val proportional: Boolean) extends IMBEA(g, uIds, vIds, p.alpha) {
+
+    private def this(c: BipartiteGraph.Compact, p: FairParams, proportional: Boolean) =
+      this(c.graph, c.uIds, c.vIds, p, proportional)
+
+    /** The search over the alive vertices of `g`, emitting the ids of `g`. */
+    def this(g: BipartiteGraph, alive: FCore.Alive, p: FairParams, proportional: Boolean) =
+      this(g.compact(alive.u, alive.v), p, proportional)
 
     protected def atMaximal(l1: Array[Int], r1: List[Int], rc1: Array[Int], out: Biclique => Unit): Unit = {
       val fair =
         if (proportional) FairSet.isProportionFairCounts(rc1, p.beta, p.delta, p.theta)
         else FairSet.isFairCounts(rc1, p.beta, p.delta)
-      if (fair) out(Biclique.of(l1, r1)) else emitFairSubsets(l1, r1, out)
+      if (fair) out(biclique(l1, r1)) else emitFairSubsets(l1, r1, out)
     }
 
     protected def canGrow(rc1: Array[Int], ids: Array[Int], from: Int, to: Int): Boolean = {
@@ -88,7 +97,7 @@ object FairBCEMpp {
       val and   = new Array[Long]((size + 1) * nw)
       java.util.Arrays.fill(and, 0, nw, -1L)
       var empty = if (nw == 0) 0 else size + 1
-      val left  = l1.toVector
+      val left  = Vector.tabulate(l1.length)(i => outU(l1(i)))
       var from  = 0
       while (from >= 0) {
         if (empty > from) {
@@ -108,7 +117,7 @@ object FairBCEMpp {
             d += 1
           }
         }
-        if (empty <= size) out(Biclique(left, Vector.tabulate(size)(d => rs(walk.pos(d)))))
+        if (empty <= size) out(Biclique(left, Vector.tabulate(size)(d => outV(rs(walk.pos(d))))))
         from = walk.advance()
       }
     }

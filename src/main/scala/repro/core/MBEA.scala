@@ -10,23 +10,28 @@ object MBEA {
 
   def enumerate(g: BipartiteGraph, minL: Int, minR: Int,
                 ordering: VertexOrdering = VertexOrdering.DegOrd): Vector[Biclique] =
-    new Search(g, minL, minR).enumerate(ordering)
+    search(g, minL, minR).enumerate(ordering)
 
   def count(g: BipartiteGraph, minL: Int, minR: Int): Long = {
     var n = 0L
-    new Search(g, minL, minR).enumerate(VertexOrdering.DegOrd, _ => n += 1)
+    search(g, minL, minR).enumerate(VertexOrdering.DegOrd, _ => n += 1)
     n
   }
 
-  /** The iMBEA kernel over every vertex with an edge; emits each maximal
-    * biclique with |R| ≥ minR and stops once the pool cannot reach minR.
+  /** The search over the compact graph of the vertices with an edge. */
+  private def search(g: BipartiteGraph, minL: Int, minR: Int): Search = {
+    val c = g.compact(Array.tabulate(g.nU)(g.degU(_) > 0), Array.tabulate(g.nV)(g.degV(_) > 0))
+    new Search(c, minL, minR)
+  }
+
+  /** The iMBEA kernel; emits each maximal biclique with |R| ≥ minR and
+    * stops once the pool cannot reach minR.
     */
-  private final class Search(g: BipartiteGraph, minL: Int, minR: Int)
-      extends IMBEA(g, FCore.Alive(Array.tabulate(g.nU)(g.degU(_) > 0),
-                                   Array.tabulate(g.nV)(g.degV(_) > 0)), minL) {
+  private final class Search(c: BipartiteGraph.Compact, minL: Int, minR: Int)
+      extends IMBEA(c.graph, c.uIds, c.vIds, minL) {
 
     protected def atMaximal(l: Array[Int], r: List[Int], rc: Array[Int], out: Biclique => Unit): Unit =
-      if (rc.sum >= minR) out(Biclique.of(l, r))
+      if (rc.sum >= minR) out(biclique(l, r))
 
     protected def canGrow(rc: Array[Int], ids: Array[Int], from: Int, to: Int): Boolean =
       rc.sum + (to - from) >= minR

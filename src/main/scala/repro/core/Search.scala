@@ -7,21 +7,23 @@ import repro.graph.{BipartiteGraph, SortedOps}
   * roots as Spark tasks against a broadcast instance; `enumerate` runs them
   * in order and honours the C-set.
   *
-  * Thread-safe per call: `runRoot` allocates its mutable state; the id
-  * arrays are built on first use and only read after that. They are
-  * transient, so a broadcast instance carries the graph and masks only.
+  * `g` is a compact graph: every vertex takes part. A result is emitted
+  * in the ids `uIds`/`vIds` give each vertex (null: the ids of `g`), which
+  * are translated where the result is built. Roots and C-sets stay in the
+  * ids of `g`.
+  *
+  * Thread-safe per call: `runRoot` allocates its mutable state; `allU` is
+  * built on first use and only read after that. It is transient, so a
+  * broadcast instance carries the graph and id maps only.
   */
-abstract class RootSearch(val g: BipartiteGraph, val alive: FCore.Alive) extends Serializable {
+abstract class RootSearch(val g: BipartiteGraph, uIds: Array[Int], vIds: Array[Int]) extends Serializable {
 
-  /** Alive U ids, ascending: the L of every root. */
-  @transient protected lazy val allU: Array[Int] = RootSearch.ids(alive.u)
+  /** Every U id, ascending: the L of every root. */
+  @transient protected lazy val allU: Array[Int] = Array.range(0, g.nU)
 
-  /** Alive V ids, ascending: the roots before ordering. */
-  @transient protected lazy val allV: Array[Int] = RootSearch.ids(alive.v)
+  def roots(ordering: VertexOrdering): Array[Int] = ordering.order(Array.range(0, g.nV), g.degV)
 
-  def roots(ordering: VertexOrdering): Array[Int] = ordering.order(allV, g.degV)
-
-  /** Run the subproblem rooted at `roots(i)`: R = {x}, L = N(x) ∩ Û,
+  /** Run the subproblem rooted at `roots(i)`: R = {x}, L = N(x),
     * P = later roots, Q = earlier roots. Returns the C-set: later roots
     * whose subtrees this root has already covered.
     */
@@ -38,9 +40,23 @@ abstract class RootSearch(val g: BipartiteGraph, val alive: FCore.Alive) extends
     enumerate(ordering, out += _)
     out.result()
   }
+
+  /** The emitted ids of U vertex `u` and V vertex `v`. */
+  protected final def outU(u: Int): Int = RootSearch.id(uIds, u)
+  protected final def outV(v: Int): Int = RootSearch.id(vIds, v)
+
+  /** The biclique (l, r) in emitted ids; `l` is sorted. */
+  protected final def biclique(l: Array[Int], r: List[Int]): Biclique = {
+    val rs = r.toArray
+    java.util.Arrays.sort(rs)
+    Biclique(Vector.tabulate(l.length)(i => outU(l(i))), Vector.tabulate(rs.length)(i => outV(rs(i))))
+  }
 }
 
 object RootSearch {
+
+  /** Vertex `x` under the id map `ids` (null: `x` itself). */
+  private[core] def id(ids: Array[Int], x: Int): Int = if (ids == null) x else ids(x)
 
   /** Alg 6 lines 31-32: run `branch(j)` for each `vs(j)`, `from <= j < to`,
     * that no earlier branch returned in its C-set (those subtrees would be
@@ -54,16 +70,6 @@ object RootSearch {
       j += 1
     }
   }
-
-  /** The ids set in `mask`, ascending. */
-  private[core] def ids(mask: Array[Boolean]): Array[Int] = {
-    var n = 0; var i = 0
-    while (i < mask.length) { if (mask(i)) n += 1; i += 1 }
-    val out = new Array[Int](n)
-    n = 0; i = 0
-    while (i < mask.length) { if (mask(i)) { out(n) = i; n += 1 }; i += 1 }
-    out
-  }
 }
 
 /** The iMBEA recursion of [6]: enumerate maximal bicliques with |L| ≥
@@ -73,11 +79,12 @@ object RootSearch {
   *
   * A node counts |N(v) ∩ L'| for all its candidates in one pass over the
   * U side of L' (each u ∈ L' adds 1 to its marked V-neighbours) instead of
-  * merging every candidate's adjacency with L'. Candidates are alive V
-  * vertices, marked by their rank among `allV` in a scratch array of that
-  * size allocated per `runRoot`, so concurrent roots share nothing mutable.
+  * merging every candidate's adjacency with L'. Candidates are marked by
+  * id in a scratch array of |V| slots allocated per `runRoot`, so
+  * concurrent roots share nothing mutable.
   */
-abstract class IMBEA(g: BipartiteGraph, alive: FCore.Alive, minL: Int) extends RootSearch(g, alive) {
+abstract class IMBEA(g: BipartiteGraph, uIds: Array[Int], vIds: Array[Int], minL: Int)
+    extends RootSearch(g, uIds, vIds) {
 
   /** Called once per maximal biclique (L', R'); `rc` counts R' per V attribute. */
   protected def atMaximal(l: Array[Int], r: List[Int], rc: Array[Int], out: Biclique => Unit): Unit
@@ -85,36 +92,13 @@ abstract class IMBEA(g: BipartiteGraph, alive: FCore.Alive, minL: Int) extends R
   /** May extending R (counts `rc`) by the candidates `ids(from until to)` still give output? */
   protected def canGrow(rc: Array[Int], ids: Array[Int], from: Int, to: Int): Boolean
 
-  /** Rank of each alive V vertex in `allV`; dead ids are never looked up. */
-  @transient private lazy val vRank: Array[Int] = {
-    val rank = new Array[Int](g.nV)
-    var k = 0
-    while (k < allV.length) { rank(allV(k)) = k; k += 1 }
-    rank
-  }
-
-  /** Alive V-neighbours of each alive U vertex, as ranks in `allV`
-    * (null for dead U vertices, which are never in L).
-    */
-  @transient private lazy val adjRank: Array[Array[Int]] = {
-    val adj = new Array[Array[Int]](g.nU)
-    allU.foreach(u => adj(u) = g.adjU(u).filter(alive.v(_)).map(vRank(_)))
-    adj
-  }
-
-  /** |N(v) ∩ Û| per alive V rank: the candidates' counts at a root. */
-  @transient private lazy val rootCnt: Array[Int] = {
-    val cnt = new Array[Int](allV.length)
-    allU.foreach(u => adjRank(u).foreach(w => cnt(w) += 1))
-    cnt
-  }
-
+  /** A root's candidates count their whole neighbourhood: L = U. */
   def runRoot(roots: Array[Int], i: Int, out: Biclique => Unit): Array[Int] = {
     val cntL = new Array[Int](roots.length)
     var k = i + 1
-    while (k < roots.length) { cntL(k) = rootCnt(vRank(roots(k))); k += 1 }
+    while (k < roots.length) { cntL(k) = g.degV(roots(k)); k += 1 }
     processNode(roots, cntL, i, roots.length, allU, Nil, new Array[Int](g.nAttrV),
-                new Array[Int](allV.length), out)
+                new Array[Int](g.nV), out)
   }
 
   /** One search node for branching vertex `x = ids(xi)`, with Q =
@@ -137,10 +121,10 @@ abstract class IMBEA(g: BipartiteGraph, alive: FCore.Alive, minL: Int) extends R
     // Counting pass: cnt(k) = |N(ids(k)) ∩ L'| for every candidate.
     val cnt = new Array[Int](end)
     var k = 0
-    while (k < end) { slot(vRank(ids(k))) = k + 1; k += 1 }
+    while (k < end) { slot(ids(k)) = k + 1; k += 1 }
     var i = 0
     while (i < l1.length) {
-      val ws = adjRank(l1(i))
+      val ws = g.adjU(l1(i))
       var j  = 0
       while (j < ws.length) {
         val s = slot(ws(j))
@@ -150,7 +134,7 @@ abstract class IMBEA(g: BipartiteGraph, alive: FCore.Alive, minL: Int) extends R
       i += 1
     }
     k = 0
-    while (k < end) { slot(vRank(ids(k))) = 0; k += 1 }
+    while (k < end) { slot(ids(k)) = 0; k += 1 }
 
     // Maximality of the biclique: any visited vertex fully connected to
     // L' means this biclique (and every descendant) was found before.

@@ -7,10 +7,12 @@ import repro.graph.{AttributedGraph, BipartiteGraph}
 /** 2-hop graph construction on the fair side (Alg 3 `Construct2HopGraph`
   * and Alg 8 `BiConstruct2HopGraph`).
   *
-  * The result keeps the V-side vertex ids of `g` (dead vertices get empty
-  * adjacency). Cost is Σ_u d(u)² as in the paper. One flat counter array
-  * is reused across source vertices; only the alive V-vertices get an
-  * adjacency buffer.
+  * The result has the V-side vertex ids of `g` (dead vertices get empty
+  * adjacency). `CFCore` builds it on the compact graph of the first peel's
+  * survivors, where every vertex is alive, so its arrays are sized by the
+  * survivors, not the input. Cost is Σ_u d(u)² as in the paper. One flat
+  * counter array is reused across source vertices; only the alive
+  * V-vertices get an adjacency buffer.
   *
   * For the U-side 2-hop graph (BCFCore) call these on `g.transpose`.
   */

@@ -80,12 +80,80 @@ final class BipartiteGraph(
     new BipartiteGraph(aU, aV, attrU, attrV, nAttrU, nAttrV)
   }
 
+  /** Subgraph induced by alive masks, relabelled to dense ids: vertex `i`
+    * of the result is vertex `uIds(i)` (U) or `vIds(i)` (V) of this graph.
+    * The relabelling is monotone, so adjacency stays sorted and id order
+    * (DegOrd/IDOrd tie-breaks) is kept. Only alive vertices' lists are read.
+    */
+  def compact(aliveU: Array[Boolean], aliveV: Array[Boolean]): BipartiteGraph.Compact = {
+    import BipartiteGraph.{ids, ranks, relabel}
+    val uIds  = ids(aliveU)
+    val vIds  = ids(aliveV)
+    val uRank = ranks(uIds, nU)
+    val vRank = ranks(vIds, nV)
+    val aU    = new Array[Array[Int]](uIds.length)
+    val aV    = new Array[Array[Int]](vIds.length)
+    var i = 0
+    while (i < uIds.length) { aU(i) = relabel(adjU(uIds(i)), aliveV, vRank); i += 1 }
+    i = 0
+    while (i < vIds.length) { aV(i) = relabel(adjV(vIds(i)), aliveU, uRank); i += 1 }
+    BipartiteGraph.Compact(new BipartiteGraph(aU, aV, uIds.map(attrU), vIds.map(attrV), nAttrU, nAttrV),
+                           uIds, vIds)
+  }
+
   /** Swap the two sides (U becomes V): used to reuse fair-side machinery on U. */
   def transpose: BipartiteGraph =
     new BipartiteGraph(adjV, adjU, attrV, attrU, nAttrV, nAttrU)
 }
 
 object BipartiteGraph {
+
+  /** A compacted graph: its vertex `i` is vertex `uIds(i)` (U) or
+    * `vIds(i)` (V) of the graph it was compacted from; both maps ascend.
+    */
+  final case class Compact(graph: BipartiteGraph, uIds: Array[Int], vIds: Array[Int]) {
+
+    /** `graph` compacted again, with ids still mapping to the original graph. */
+    def compact(aliveU: Array[Boolean], aliveV: Array[Boolean]): Compact = {
+      val c = graph.compact(aliveU, aliveV)
+      Compact(c.graph, c.uIds.map(uIds), c.vIds.map(vIds))
+    }
+  }
+
+  /** The ids set in `mask`, ascending. */
+  def ids(mask: Array[Boolean]): Array[Int] = {
+    var n = 0; var i = 0
+    while (i < mask.length) { if (mask(i)) n += 1; i += 1 }
+    val out = new Array[Int](n)
+    n = 0; i = 0
+    while (i < mask.length) { if (mask(i)) { out(n) = i; n += 1 }; i += 1 }
+    out
+  }
+
+  /** The alive ids of `ns` as their ranks among the alive vertices. */
+  private def relabel(ns: Array[Int], alive: Array[Boolean], rank: Array[Int]): Array[Int] = {
+    var n = 0; var j = 0
+    while (j < ns.length) { if (alive(ns(j))) n += 1; j += 1 }
+    val out = new Array[Int](n)
+    n = 0; j = 0
+    while (j < ns.length) { if (alive(ns(j))) { out(n) = rank(ns(j)); n += 1 }; j += 1 }
+    out
+  }
+
+  /** `rank(ids(i)) = i`, over ids `0 until n`. */
+  private def ranks(ids: Array[Int], n: Int): Array[Int] = {
+    val rank = new Array[Int](n)
+    var i = 0
+    while (i < ids.length) { rank(ids(i)) = i; i += 1 }
+    rank
+  }
+
+  /** The mask of size `n` that sets exactly `ids`. */
+  def mask(ids: Array[Int], n: Int): Array[Boolean] = {
+    val out = new Array[Boolean](n)
+    ids.foreach(out(_) = true)
+    out
+  }
 
   /** Build from an edge list; duplicate edges are collapsed.
     *

@@ -12,7 +12,8 @@ import repro.graph.GraphIO
   * Shape: (1) distributed fair-core pruning over the edge DataFrame — this
   * is where the bulk data reduction happens and is pure dataflow; (2) the
   * surviving graph (small by construction: that is the point of the
-  * paper's pruning) is collected, colourful-core pruned, and broadcast;
+  * paper's pruning) is collected, colourful-core pruned to a compact
+  * graph, and broadcast inside the searcher;
   * (3) the branch-and-bound search fans out over top-level roots, one
   * independent subproblem per root, via an RDD flatMap; (4) results come
   * back as a DataFrame in the original vertex ids, lazy and distributed:
@@ -50,14 +51,16 @@ object DistEnum {
     */
   private def enumerate(spark: SparkSession, prunedDf: DataFrame, p: FairParams, ordering: VertexOrdering,
                         bi: Boolean, plusPlus: Boolean, nAttrU: Int, nAttrV: Int): DataFrame = {
-    val loc   = GraphIO.toLocal(prunedDf, nAttrU, nAttrV)
-    val alive = if (bi) CFCore.biPrune(loc.graph, p.alpha, p.beta) else CFCore.prune(loc.graph, p.alpha, p.beta)
-    val g     = loc.graph.restrict(alive.u, alive.v)
+    val loc = GraphIO.toLocal(prunedDf, nAttrU, nAttrV)
+    val c   = if (bi) CFCore.biPruned(loc.graph, p.alpha, p.beta) else CFCore.pruned(loc.graph, p.alpha, p.beta)
 
+    // The search and the expansion emit ids of the compact graph; toDF maps
+    // them straight to the input's ids.
     val searcher =
-      if (plusPlus) new FairBCEMpp.Searcher(g, alive, p, proportional = false)
-      else new FairBCEM.Searcher(g, alive, p, naive = false)
-    toDF(spark, fanOut(spark.sparkContext, searcher, ordering, if (bi) Some(p) else None), loc)
+      if (plusPlus) new FairBCEMpp.Searcher(c.graph, null, null, p, proportional = false)
+      else new FairBCEM.Searcher(c.graph, null, null, p, naive = false, Long.MaxValue)
+    toDF(spark, fanOut(spark.sparkContext, searcher, ordering, if (bi) Some(p) else None),
+         c.uIds.map(loc.uIds), c.vIds.map(loc.vIds))
   }
 
   /** The root fan-out: broadcast the searcher and its roots, then run
@@ -83,11 +86,12 @@ object DistEnum {
       }
   }
 
-  /** Map local ids back to the original ones through one broadcast of
-    * the id arrays, partition by partition.
+  /** Map compact ids to the original ones (`uIds`, `vIds`) through one
+    * broadcast of the id arrays, partition by partition.
     */
-  private def toDF(spark: SparkSession, bicliques: RDD[Biclique], loc: GraphIO.Localized): DataFrame = {
-    val ids  = spark.sparkContext.broadcast((loc.uIds, loc.vIds))
+  private def toDF(spark: SparkSession, bicliques: RDD[Biclique],
+                   uIds: Array[Long], vIds: Array[Long]): DataFrame = {
+    val ids  = spark.sparkContext.broadcast((uIds, vIds))
     val rows = bicliques.map { b =>
       val (uIds, vIds) = ids.value
       Row(b.left.map(u => uIds(u)), b.right.map(v => vIds(v)))

@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.bipartite.SynthBipartite
-import repro.graph.{AttributedGraph, Coloring}
+import repro.graph.{AttributedGraph, BipartiteGraph, Coloring}
 
 /** CFCore (Alg 2) / BCFCore safety and effectiveness. */
 class CFCoreSpec extends AnyFunSuite {
@@ -53,6 +53,39 @@ class CFCoreSpec extends AnyFunSuite {
     val fc = FCore.fairCore(g, 2, 2)
     val cf = CFCore.prune(g, 2, 2)
     assert(cf.countU + cf.countV <= fc.countU + fc.countV)
+  }
+
+  test("prune and biPrune equal the id-preserving pipeline rebuilt from public pieces") {
+    // FCore → 2-hop graph → degree cut → ego colorful core → FCore, every
+    // stage over the input's ids.
+    def side(h: AttributedGraph, k: Int, alive0: Array[Boolean]): Array[Boolean] = {
+      val alive = alive0.clone()
+      for (v <- 0 until h.n) if (alive(v) && h.adj(v).count(alive(_)) < h.nAttr * k - 1) alive(v) = false
+      CFCore.egoColorfulCore(h, k, alive)
+    }
+    def prune(g: BipartiteGraph, a: Int, b: Int): FCore.Alive = {
+      val core1  = FCore.fairCore(g, a, b)
+      val aliveV = side(TwoHop.construct(g, a, core1.u, core1.v), b, core1.v)
+      FCore.fairCore(g, a, b, Some(core1.u), Some(aliveV))
+    }
+    def biPrune(g: BipartiteGraph, a: Int, b: Int): FCore.Alive = {
+      val core1  = FCore.biFairCore(g, a, b)
+      val aliveV = side(TwoHop.biConstruct(g, a, core1.u, core1.v), b, core1.v)
+      val aliveU = side(TwoHop.biConstruct(g.transpose, b, aliveV, core1.u), a, core1.u)
+      FCore.biFairCore(g, a, b, Some(aliveU), Some(aliveV))
+    }
+    def same(x: FCore.Alive, y: FCore.Alive): Boolean = x.u.sameElements(y.u) && x.v.sameElements(y.v)
+    val graphs = (0 until 15).map(s => SynthBipartite.randomSmall(1100 + s, 12, 14, 0.45)) ++
+      Seq(SynthBipartite.generate(SynthBipartite.youtubeS),
+          SynthBipartite.generate(SynthBipartite.youtubeS.copy(nU = 300, nV = 120, blocks = 10, noiseEdges = 500)))
+    var pruned = 0
+    for ((g, i) <- graphs.zipWithIndex; (a, b) <- Seq((1, 1), (2, 1), (2, 2), (3, 2), (4, 4))) {
+      val single = CFCore.prune(g, a, b)
+      assert(same(single, prune(g, a, b)), s"graph $i α=$a β=$b")
+      assert(same(CFCore.biPrune(g, a, b), biPrune(g, a, b)), s"bi graph $i α=$a β=$b")
+      if (single.countV < FCore.fairCore(g, a, b).countV) pruned += 1
+    }
+    assert(pruned > 0, "the colourful step removed nothing in any case")
   }
 
   test("ego colorful core respects Def 10") {

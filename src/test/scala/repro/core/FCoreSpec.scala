@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.bipartite.SynthBipartite
+import repro.graph.BipartiteGraph
 
 /** FCore (Alg 1) and BFCore (Def 13) invariants and safety. */
 class FCoreSpec extends AnyFunSuite {
@@ -98,6 +99,22 @@ class FCoreSpec extends AnyFunSuite {
     val a2 = FCore.fairCore(g, 2, 2, initU = Some(a1.u), initV = Some(a1.v))
     assert(a1.u.toSeq == a2.u.toSeq)
     assert(a1.v.toSeq == a2.v.toSeq)
+  }
+
+  test("the degree seed is exact: both cores equal the peel started from every vertex") {
+    val planted = SynthBipartite.generate(SynthBipartite.youtubeS.copy(nU = 300, nV = 120, blocks = 10, noiseEdges = 500))
+    val graphs =
+      (0 until 10).map(s => SynthBipartite.randomSmall(800 + s, 10, 12, 0.45)) ++
+      (0 until 10).map(s => SynthBipartite.randomSmall(900 + s, 9, 11, 0.6, nAttrU = 3, nAttrV = 3)) ++
+      Seq(planted, new BipartiteGraph(planted.adjU, planted.adjV, Array.tabulate(planted.nU)(_ % 3),
+                                      Array.tabulate(planted.nV)(v => v / 2 % 3), 3, 3))
+    def same(x: FCore.Alive, y: FCore.Alive): Boolean = x.u.sameElements(y.u) && x.v.sameElements(y.v)
+    for ((g, i) <- graphs.zipWithIndex; a <- 0 to 4; b <- 0 to 4) {
+      val allU = Some(Array.fill(g.nU)(true))
+      val allV = Some(Array.fill(g.nV)(true))
+      assert(same(FCore.fairCore(g, a, b), FCore.fairCore(g, a, b, allU, allV)), s"graph $i α=$a β=$b")
+      assert(same(FCore.biFairCore(g, a, b), FCore.biFairCore(g, a, b, allU, allV)), s"bi graph $i α=$a β=$b")
+    }
   }
 
   test("empty graph and trivial thresholds") {

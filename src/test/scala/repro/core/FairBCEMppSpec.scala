@@ -85,6 +85,23 @@ class FairBCEMppSpec extends AnyFunSuite {
     }
   }
 
+  test("dblp-s: results in input ids where compaction relabels nearly every id") {
+    // 49k U and 140k V ids; a few hundred survive the first peel.
+    val g = SynthBipartite.generate(SynthBipartite.dblpS)
+    for ((a, b) <- Seq((7, 7), (8, 6))) {
+      val p  = FairParams(a, b, 2)
+      val pp = asSet(FairBCEMpp.enumerate(g, p))
+      assert(pp.nonEmpty && pp == asSet(FairBCEM.enumerate(g, p)), s"α=$a β=$b")
+      for (bc <- pp) assert(g.commonNeighborsOfV(bc.right).toVector == bc.left, s"α=$a β=$b: L != N(R) for $bc")
+    }
+    for ((a, b) <- Seq((4, 4), (4, 5))) {
+      val p  = FairParams(a, b, 2)
+      val bi = asSet(BiFair.enumerate(g, p))
+      assert(bi.nonEmpty && bi == asSet(BiFair.enumerate(g, p, phase1 = BiFair.UseFairBCEM)), s"bi α=$a β=$b")
+      for (bc <- bi; u <- bc.left; v <- bc.right) assert(g.hasEdge(u, v), s"bi α=$a β=$b: ($u,$v) of $bc")
+    }
+  }
+
   test("a searcher over the unrestricted graph sees only alive vertices") {
     for (seed <- 0 until 12; ordering <- VertexOrdering.all; proportional <- Seq(false, true)) {
       val g0    = SynthBipartite.randomSmall(7000 + seed, 14, 16, 0.4)
