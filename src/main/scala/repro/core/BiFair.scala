@@ -20,7 +20,8 @@ object BiFair {
   /** Alg 9 on `g0`. Throws `IllegalArgumentException` for a choice phase
     * 1 cannot run: `proportional` on any phase 1 but FairBCEM++ (whose
     * maximal *fair* right sides the proportional check would reject), or a
-    * time budget on FairBCEM++, which has no deadline.
+    * time budget on FairBCEM++, which has no deadline; and for
+    * `proportional` unless both sides have 2 attribute values.
     */
   def enumerate(g0: BipartiteGraph, p: FairParams,
                 ordering: VertexOrdering = VertexOrdering.DegOrd,
@@ -29,6 +30,9 @@ object BiFair {
                 timeoutMs: Long = 0): Vector[Biclique] = {
     require(!proportional || phase1 == UseFairBCEMpp,
       s"the proportional model (BFairBCEMPro++) needs phase 1 UseFairBCEMpp, not $phase1")
+    require(!proportional || (g0.nAttrU == 2 && g0.nAttrV == 2),
+      s"BFairBCEMPro++: proportional models are implemented for 2 attribute values per side, " +
+      s"not ${g0.nAttrU} and ${g0.nAttrV}")
     require(timeoutMs <= 0 || phase1 != UseFairBCEMpp, s"phase 1 $phase1 takes no time budget")
     val c = CFCore.biPruned(g0, p.alpha, p.beta)
     val h = c.graph
@@ -50,8 +54,8 @@ object BiFair {
     try Some(enumerate(g0, p, ordering, phase1, proportional = false, timeoutMs))
     catch { case _: FairBCEM.SearchTimeout => None }
 
-  /** Lines 4-8 of Alg 9 for one single-side fair biclique, in the ids of
-    * `g`. Exposed so `DistEnum` can run phase 2 as a Spark flatMap over
+  /** Lines 4-8 of Alg 9 for one single-side fair biclique of `g`, in the
+    * ids of `g`. Exposed so `DistEnum` can run phase 2 as a Spark flatMap over
     * phase-1 results.
     */
   def expandLeft(g: BipartiteGraph, p: FairParams, ssfbc: Biclique,
@@ -64,23 +68,29 @@ object BiFair {
   /** `expandLeft` into `out`, emitting U vertex u as `uIds(u)` and V
     * vertex v as `vIds(v)` (null: unchanged). The maps are monotone, so
     * l′ (sorted by the walk) stays sorted; R′ is mapped once per call.
+    *
+    * R′ must be a maximal fair subset of N(l′). As (L′, R′) is a biclique,
+    * N(l′) is R′ plus the common neighbours of l′ outside R′, and the
+    * count-level check (MFSCheck) only asks which classes of those have a
+    * member: elements of one class are interchangeable.
     */
   private def expandLeft(g: BipartiteGraph, uIds: Array[Int], vIds: Array[Int], p: FairParams,
                          ssfbc: Biclique, proportional: Boolean, out: Biclique => Unit): Unit = {
-    val combos  = FairSet.maximalFairSubsets(ssfbc.left, g.attrU, g.nAttrU, p.alpha, p, proportional)
-    val rCounts = FairSet.counts(ssfbc.right, g.attrV, g.nAttrV)
-    lazy val right = ssfbc.right.map(RootSearch.id(vIds, _)).sorted
-    combos.foreach { lPrime =>
-      // R' must be a maximal fair subset of N(l') (count-level suffices:
-      // elements of one class are interchangeable).
-      val nl        = g.commonNeighborsOfU(lPrime)
-      val nlCounts  = FairSet.counts(nl, g.attrV, g.nAttrV)
+    val ls = ssfbc.left.toArray
+    val rs = ssfbc.right.toArray
+    java.util.Arrays.sort(ls)
+    java.util.Arrays.sort(rs)
+    val rCounts = FairSet.counts(rs, g.attrV, g.nAttrV)
+    lazy val right = Vector.tabulate(rs.length)(i => RootSearch.id(vIds, rs(i)))
+    // L′ is on the V side of the transpose.
+    FairSet.combinationOutside(g.transpose, ls, rs, p.alpha, p, proportional) { (walk, hit) =>
+      val nlCounts = Array.tabulate(g.nAttrV)(a => rCounts(a) + (if (hit(a)) 1 else 0))
       val ok =
         if (proportional)
           FairSet.isMaximalProportionFairSubsetCounts(nlCounts, rCounts, p.beta, p.delta, p.theta)
         else
           FairSet.isMaximalFairSubsetCounts(nlCounts, rCounts, p.beta, p.delta)
-      if (ok) out(Biclique(Vector.tabulate(lPrime.length)(i => RootSearch.id(uIds, lPrime(i))), right))
+      if (ok) out(Biclique(Vector.tabulate(walk.size)(d => RootSearch.id(uIds, walk.member(d))), right))
     }
   }
 }

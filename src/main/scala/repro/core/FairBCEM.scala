@@ -7,8 +7,8 @@ import repro.graph.{BipartiteGraph, SortedOps}
   * Observations 2/4/5 disabled, as defined in §V-A).
   *
   * The search is decomposed into independent *root subproblems* (one per
-  * top-level candidate vertex, with Q = the earlier roots), which is what
-  * `repro.spark.DistEnum` parallelises across Spark tasks.
+  * top-level candidate vertex, with Q = the earlier roots), as FairBCEM++
+  * is for `repro.spark.DistEnum`.
   */
 object FairBCEM {
 
@@ -35,14 +35,6 @@ object FairBCEM {
     try Some(enumerate(g0, p, ordering, naive, timeoutMs))
     catch { case _: SearchTimeout => None }
 
-  /** Enumerate on an already-pruned graph (alive masks tell which vertices
-    * participate; ids of `g` out).
-    */
-  def enumerateOn(g: BipartiteGraph, alive: FCore.Alive, p: FairParams,
-                  ordering: VertexOrdering, naive: Boolean,
-                  timeoutMs: Long = 0): Vector[Biclique] =
-    new Searcher(g, alive, p, naive, deadline(timeoutMs)).enumerate(ordering)
-
   /** The `System.nanoTime` deadline of a budget of `timeoutMs` (0: none). */
   private[core] def deadline(timeoutMs: Long): Long =
     if (timeoutMs <= 0) Long.MaxValue else System.nanoTime() + timeoutMs * 1000000L
@@ -58,14 +50,6 @@ object FairBCEM {
   final class Searcher(g: BipartiteGraph, uIds: Array[Int], vIds: Array[Int],
                        val p: FairParams, val naive: Boolean,
                        val deadlineNanos: Long) extends RootSearch(g, uIds, vIds) {
-
-    private def this(c: BipartiteGraph.Compact, p: FairParams, naive: Boolean, deadlineNanos: Long) =
-      this(c.graph, c.uIds, c.vIds, p, naive, deadlineNanos)
-
-    /** The search over the alive vertices of `g`, emitting the ids of `g`. */
-    def this(g: BipartiteGraph, alive: FCore.Alive, p: FairParams, naive: Boolean,
-             deadlineNanos: Long = Long.MaxValue) =
-      this(g.compact(alive.u, alive.v), p, naive, deadlineNanos)
 
     def runRoot(roots: Array[Int], i: Int, out: Biclique => Unit): Array[Int] = {
       processNode(roots, i, roots.length, allU, Nil, new Array[Int](g.nAttrV), out)

@@ -1,5 +1,7 @@
 package repro.core
 
+import repro.graph.{BipartiteGraph, SortedOps}
+
 /** Fair set machinery (Defs 11-12) and the combinatorial enumeration of
   * maximal fair subsets (Alg 4 `MFSCheck`, Alg 7 `Combination`, and
   * `CombinationPro` for the proportional models).
@@ -121,22 +123,10 @@ object FairSet {
     */
   val MaxCombinationsPerBiclique: Long = 20_000_000L
 
-  /** The one `Combination` entry point of the searchers: enumerate the
-    * maximal fair subsets of `members` (classes by `attr`) w.r.t. `(k, δ)`
-    * (`CombinationPro` when `proportional`). Empty when some class has
-    * fewer than `k` members; throws when the subsets would number more
-    * than `MaxCombinationsPerBiclique`.
-    */
-  def maximalFairSubsets(members: Iterable[Int], attr: Array[Int], nAttr: Int, k: Int,
-                         p: FairParams, proportional: Boolean): Iterator[Array[Int]] = {
-    val ms = members.toArray
-    java.util.Arrays.sort(ms)
-    iterator(walk(ms, ms.map(attr), nAttr, k, p.delta, if (proportional) Some(p.theta) else None))
-  }
-
   /** Alg 7 `Combination`: all maximal fair subsets of the elements grouped
     * by attribute in `elemsByAttr`. Emits sorted element arrays. Empty when
-    * some class is smaller than `k`; throws like `maximalFairSubsets`.
+    * some class is smaller than `k`; throws when the subsets would number
+    * more than `MaxCombinationsPerBiclique`.
     */
   def combination(elemsByAttr: Array[Array[Int]], k: Int, delta: Int): Iterator[Array[Int]] =
     grouped(elemsByAttr, k, delta, None)
@@ -159,7 +149,8 @@ object FairSet {
   }
 
   /** The guards of every `Combination` (`CombinationPro` when `theta` is
-    * given): class sizes, profile, explosion; then the `Walk` over
+    * given): two classes for `CombinationPro`, class sizes, profile,
+    * explosion; then the `Walk` over
     * `members` (ascending) with classes `cls`, or null when there is
     * nothing to emit. A proportional profile that is not itself
     * proportion-fair (θ > 0.5) emits nothing, so it is never refused as an
@@ -167,10 +158,10 @@ object FairSet {
     */
   private[core] def walk(members: Array[Int], cls: Array[Int], nAttr: Int, k: Int, delta: Int,
                          theta: Option[Double]): Walk = {
+    require(theta.isEmpty || nAttr == 2, "proportional models are implemented for 2 attribute values")
     val n = new Array[Int](nAttr)
     cls.foreach(a => n(a) += 1)
     if (n.exists(_ < k) || n.exists(_ == 0)) return null
-    require(theta.isEmpty || n.length == 2, "proportional models are implemented for 2 attribute values")
     val profile = theta.fold(maximalProfile(n, delta))(maximalProfilePro(n, delta, _))
     if (theta.exists(t => !isProportionFairCounts(profile, k, delta, t))) return null
     val count = combinationCount(n, profile)
@@ -178,6 +169,103 @@ object FairSet {
       s"Combination explosion: $count candidate subsets in one set " +
       s"(classes ${n.mkString("x")}, δ=$delta); choose stricter parameters")
     new Walk(members, cls, profile)
+  }
+
+  /** Alg 7 over the V vertices `members` of `g` (ascending, classes by
+    * `attrV`; `CombinationPro` when `proportional`) with the outside
+    * neighbours of each subset: `emit(w, hit)` runs once per maximal fair
+    * subset, in `Walk` order, with `w` at that subset and `hit(a)` true iff
+    * some U vertex of attribute `a` outside `base` (sorted) is adjacent to
+    * every member of the subset. `hit` is one array, overwritten per
+    * subset. Guards as in `combination`.
+    *
+    * FairBCEM++ keeps r′ ⊆ R′ when nothing is hit with `base` = L′ (then
+    * N(r′) = L′); `BiFair.expandLeft` runs on the transpose, where the hit
+    * classes are those of N(l′) \ R′.
+    *
+    * The members' outside neighbours are bitsets over their union, with one
+    * running AND per depth of the walk, recomputed only from the depth the
+    * walk changed. Once a prefix's AND is empty, every completion hits
+    * nothing with no further test.
+    */
+  private[core] def combinationOutside(g: BipartiteGraph, members: Array[Int], base: Array[Int], k: Int,
+                                       p: FairParams, proportional: Boolean)
+                                      (emit: (Walk, Array[Boolean]) => Unit): Unit = {
+    val walk = FairSet.walk(members, members.map(g.attrV), g.nAttrV, k, p.delta,
+                            if (proportional) Some(p.theta) else None)
+    if (walk == null) return
+
+    // A vertex common to a subset is next to `size` members, so next to one
+    // of the first n - size + 1: the bits are over the union of those
+    // members' outside neighbours, set by one merge per member.
+    val size = walk.size
+    val outs = members.take(members.length - size + 1).flatMap(v => SortedOps.diff(g.adjV(v), base))
+    java.util.Arrays.sort(outs)
+    val nOut = dedup(outs)
+    val nw   = (nOut + 63) >>> 6
+    val bits = new Array[Long](members.length * nw)
+    var i = 0
+    while (i < members.length) {
+      val adj = g.adjV(members(i))
+      var j = 0; var b = 0
+      while (j < adj.length && b < nOut) {
+        if (adj(j) < outs(b)) j += 1
+        else if (adj(j) > outs(b)) b += 1
+        else { bits(i * nw + (b >>> 6)) |= 1L << b; j += 1; b += 1 }
+      }
+      i += 1
+    }
+
+    // and(d) (words d*nw until (d+1)*nw) is the AND over the members at
+    // depths below d; `empty` is the shallowest depth where it is empty.
+    val and   = new Array[Long]((size + 1) * nw)
+    java.util.Arrays.fill(and, 0, nw, -1L)
+    var empty = if (nw == 0) 0 else size + 1
+    val hit   = new Array[Boolean](g.nAttrU)
+    var from  = 0
+    while (from >= 0) {
+      if (empty > from) {
+        empty = size + 1
+        var d = from
+        while (d < size && empty > size) {
+          val m = walk.pos(d) * nw
+          var any = 0L
+          var w   = 0
+          while (w < nw) {
+            val x = and(d * nw + w) & bits(m + w)
+            and((d + 1) * nw + w) = x
+            any |= x
+            w += 1
+          }
+          if (any == 0L) empty = d + 1
+          d += 1
+        }
+      }
+      java.util.Arrays.fill(hit, false)
+      if (empty > size) {
+        // The classes of the common outside neighbours, until all are hit.
+        var seen = 0
+        var w    = 0
+        while (w < nw && seen < hit.length) {
+          var x = and(size * nw + w)
+          while (x != 0L && seen < hit.length) {
+            val a = g.attrU(outs((w << 6) | java.lang.Long.numberOfTrailingZeros(x)))
+            if (!hit(a)) { hit(a) = true; seen += 1 }
+            x &= x - 1
+          }
+          w += 1
+        }
+      }
+      emit(walk, hit)
+      from = walk.advance()
+    }
+  }
+
+  /** Drops repeats from sorted `a` in place; returns the distinct count. */
+  private def dedup(a: Array[Int]): Int = {
+    var n = 0; var i = 0
+    while (i < a.length) { if (n == 0 || a(n - 1) != a(i)) { a(n) = a(i); n += 1 }; i += 1 }
+    n
   }
 
   /** The subsets of `w` as fresh sorted arrays. */
@@ -190,7 +278,7 @@ object FairSet {
         if (!more) throw new NoSuchElementException("no more subsets")
         val out = new Array[Int](w.size)
         var d = 0
-        while (d < w.size) { out(d) = w.members(w.pos(d)); d += 1 }
+        while (d < w.size) { out(d) = w.member(d); d += 1 }
         more = w.advance() >= 0
         out
       }
@@ -204,8 +292,8 @@ object FairSet {
     * in lexicographic order. The stack is explicit: `pos(d)` is the index
     * of the member taken at depth `d`, starting at the first subset, and
     * `advance` reports the shallowest depth it changed, so a caller can
-    * keep per-depth state of the prefix (the N(r') = L' filter of
-    * `FairBCEMpp`). Mutable; one walk per call.
+    * keep per-depth state of the prefix (`combinationOutside`). Mutable;
+    * one walk per call.
     */
   private[core] final class Walk(val members: Array[Int], cls: Array[Int], profile: Array[Int]) {
     /** Members in every subset: the depth of a complete one. */
@@ -221,6 +309,9 @@ object FairSet {
       out
     }
     fill(0, 0)
+
+    /** The member taken at depth `d`. */
+    def member(d: Int): Int = members(pos(d))
 
     /** Move to the next subset; returns the shallowest depth whose member
       * changed, or -1 (after which the walk is spent) when there is none.
@@ -242,31 +333,6 @@ object FairSet {
       while (d < size) {
         if (quota(cls(i)) > 0) { quota(cls(i)) -= 1; pos(d) = i; d += 1 }
         i += 1
-      }
-    }
-  }
-
-  /** All size-`k` subsets of `elems`, in lexicographic index order. */
-  def subsetsOfSize(elems: Array[Int], k: Int): Iterator[Array[Int]] = {
-    val n = elems.length
-    if (k < 0 || k > n) Iterator.empty
-    else if (k == 0) Iterator(Array.empty[Int])
-    else new Iterator[Array[Int]] {
-      private val idx  = Array.range(0, k)
-      private var done = false
-      def hasNext: Boolean = !done
-      def next(): Array[Int] = {
-        val out = idx.map(elems)
-        // advance: rightmost index that can move
-        var i = k - 1
-        while (i >= 0 && idx(i) == n - k + i) i -= 1
-        if (i < 0) done = true
-        else {
-          idx(i) += 1
-          var j = i + 1
-          while (j < k) { idx(j) = idx(j - 1) + 1; j += 1 }
-        }
-        out
       }
     }
   }

@@ -210,6 +210,18 @@ object SortedOps {
     k
   }
 
+  /** The elements of `a` not in `b`. */
+  def diff(a: Array[Int], b: Array[Int]): Array[Int] = {
+    val out = new Array[Int](a.length)
+    var i = 0; var j = 0; var k = 0
+    while (i < a.length) {
+      while (j < b.length && b(j) < a(i)) j += 1
+      if (j >= b.length || b(j) != a(i)) { out(k) = a(i); k += 1 }
+      i += 1
+    }
+    java.util.Arrays.copyOf(out, k)
+  }
+
   /** True iff sorted `sub` ⊆ sorted `sup`. */
   def isSubset(sub: Array[Int], sup: Array[Int]): Boolean = {
     var i = 0; var j = 0

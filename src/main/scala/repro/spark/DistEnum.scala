@@ -31,9 +31,8 @@ object DistEnum {
   /** Enumerate single-side fair bicliques of the attributed edge table. */
   def ssfbc(spark: SparkSession, edges: DataFrame, p: FairParams,
             ordering: VertexOrdering = VertexOrdering.DegOrd,
-            plusPlus: Boolean = true, nAttrU: Int = 2, nAttrV: Int = 2): DataFrame =
-    enumerate(spark, DistFCore.fairCore(edges, p.alpha, p.beta, nAttrV), p, ordering,
-              bi = false, plusPlus, nAttrU, nAttrV)
+            nAttrU: Int = 2, nAttrV: Int = 2): DataFrame =
+    enumerate(spark, DistFCore.fairCore(edges, p.alpha, p.beta, nAttrV), p, ordering, bi = false, nAttrU, nAttrV)
 
   /** Enumerate bi-side fair bicliques: distributed BFCore, local BCFCore,
     * then the root-parallel SSFBC search with the left-side expansion of
@@ -42,30 +41,27 @@ object DistEnum {
   def bsfbc(spark: SparkSession, edges: DataFrame, p: FairParams,
             ordering: VertexOrdering = VertexOrdering.DegOrd,
             nAttrU: Int = 2, nAttrV: Int = 2): DataFrame =
-    enumerate(spark, DistFCore.biFairCore(edges, p.alpha, p.beta, nAttrU, nAttrV), p, ordering,
-              bi = true, plusPlus = true, nAttrU, nAttrV)
+    enumerate(spark, DistFCore.biFairCore(edges, p.alpha, p.beta, nAttrU, nAttrV), p, ordering, bi = true, nAttrU, nAttrV)
 
   /** Steps (2)-(4) on the distributed core `prunedDf`: collect it, prune
     * it with CFCore (BCFCore when `bi`), and fan the search out over its
     * roots.
     */
   private def enumerate(spark: SparkSession, prunedDf: DataFrame, p: FairParams, ordering: VertexOrdering,
-                        bi: Boolean, plusPlus: Boolean, nAttrU: Int, nAttrV: Int): DataFrame = {
+                        bi: Boolean, nAttrU: Int, nAttrV: Int): DataFrame = {
     val loc = GraphIO.toLocal(prunedDf, nAttrU, nAttrV)
     val c   = if (bi) CFCore.biPruned(loc.graph, p.alpha, p.beta) else CFCore.pruned(loc.graph, p.alpha, p.beta)
 
     // The search and the expansion emit ids of the compact graph; toDF maps
     // them straight to the input's ids.
-    val searcher =
-      if (plusPlus) new FairBCEMpp.Searcher(c.graph, null, null, p, proportional = false)
-      else new FairBCEM.Searcher(c.graph, null, null, p, naive = false, Long.MaxValue)
+    val searcher = new FairBCEMpp.Searcher(c.graph, null, null, p, proportional = false)
     toDF(spark, fanOut(spark.sparkContext, searcher, ordering, if (bi) Some(p) else None),
          c.uIds.map(loc.uIds), c.vIds.map(loc.vIds))
   }
 
   /** The root fan-out: broadcast the searcher and its roots, then run
     * every root in a Spark task. No root is skipped for the C-set; that is
-    * complete and duplicate-free for both searchers (DESIGN.md §3).
+    * complete and duplicate-free (DESIGN.md §3).
     * With `expandAt = Some(p)` the task expands each result on the left
     * (Alg 9 lines 4-8) at `p`, on the broadcast searcher's own graph.
     */

@@ -89,6 +89,98 @@ class BiFairSpec extends AnyFunSuite {
     assert(e.getMessage.contains("Combination explosion"))
   }
 
+  /** Alg 9 lines 4-8 candidate by candidate: each l′ from Combination is
+    * kept when R′ is a maximal fair subset of N(l′), counted on
+    * `commonNeighborsOfU(l′)`. Returns the kept bicliques and the number
+    * of candidates.
+    */
+  private def expandReference(g: BipartiteGraph, p: FairParams, ssfbc: Biclique,
+                              proportional: Boolean): (Vector[Biclique], Int) = {
+    val byAttr  = Array.tabulate(g.nAttrU)(a => ssfbc.left.filter(g.attrU(_) == a).toArray)
+    val rCounts = FairSet.counts(ssfbc.right, g.attrV, g.nAttrV)
+    val combos  =
+      if (proportional) FairSet.combinationPro(byAttr, p.alpha, p.delta, p.theta).toVector
+      else FairSet.combination(byAttr, p.alpha, p.delta).toVector
+    val kept = combos.filter { l =>
+      val nl = FairSet.counts(g.commonNeighborsOfU(l), g.attrV, g.nAttrV)
+      if (proportional) FairSet.isMaximalProportionFairSubsetCounts(nl, rCounts, p.beta, p.delta, p.theta)
+      else FairSet.isMaximalFairSubsetCounts(nl, rCounts, p.beta, p.delta)
+    }
+    (kept.map(l => Biclique(l.toVector, ssfbc.right.sorted)), combos.size)
+  }
+
+  /** `expandLeft` equals `expandReference`, in order, on every one of
+    * `ssfbcs`; returns the kept and the rejected candidate counts.
+    */
+  private def checkExpand(g: BipartiteGraph, p: FairParams, ssfbcs: Iterable[Biclique],
+                          proportional: Boolean, what: String): (Int, Int) = {
+    var kept = 0; var rejected = 0
+    for (b <- ssfbcs) {
+      val (exp, candidates) = expandReference(g, p, b, proportional)
+      assert(BiFair.expandLeft(g, p, b, proportional) == exp, s"$what: $b")
+      kept += exp.size; rejected += candidates - exp.size
+    }
+    (kept, rejected)
+  }
+
+  /** The phase-1 results BFairBCEM++ (BFairBCEMPro++) expands, on the
+    * compact graph they are in.
+    */
+  private def phase1(g0: BipartiteGraph, p: FairParams, proportional: Boolean): (BipartiteGraph, Vector[Biclique]) = {
+    val c = CFCore.biPruned(g0, p.alpha, p.beta)
+    (c.graph, new FairBCEMpp.Searcher(c.graph, null, null, p, proportional).enumerate(VertexOrdering.DegOrd))
+  }
+
+  test("expandLeft equals the per-candidate reference on phase-1 results (dblp-s, youtube-s)") {
+    val dblp    = SynthBipartite.generate(SynthBipartite.dblpS)
+    val youtube = SynthBipartite.generate(SynthBipartite.youtubeS)
+    for {
+      (name, g0, a, b) <- Seq(("dblp-s", dblp, 4, 4), ("dblp-s", dblp, 4, 5), ("youtube-s", youtube, 3, 3))
+      theta            <- Seq(None, Some(0.3), Some(0.4), Some(0.5))
+    } {
+      val p      = FairParams(a, b, 2, theta.getOrElse(0.5))
+      val what   = s"$name α=$a β=$b θ=$theta"
+      val (g, ss) = phase1(g0, p, theta.nonEmpty)
+      val (kept, _) = checkExpand(g, p, ss, theta.nonEmpty, what)
+      assert(ss.nonEmpty && kept > 0, what)
+    }
+  }
+
+  test("expandLeft equals the per-candidate reference with 3 attribute values") {
+    var kept = 0; var rejected = 0
+    for (seed <- 0 until 40; nAttrU <- Seq(2, 3); delta <- Seq(0, 1, 2)) {
+      val g0      = SynthBipartite.randomSmall(9000 + seed, 6 + seed % 4, 6 + seed % 5, 0.8, nAttrU, nAttrV = 3)
+      val p       = FairParams(1, 1, delta)
+      val (g, ss) = phase1(g0, p, proportional = false)
+      val (k, r)  = checkExpand(g, p, ss, proportional = false, s"seed=$seed nAttrU=$nAttrU δ=$delta")
+      kept += k; rejected += r
+    }
+    assert(kept > 0 && rejected > 0, s"kept=$kept rejected=$rejected")
+  }
+
+  test("expandLeft equals the per-candidate reference where shared outside neighbours lie past 64 V vertices") {
+    // L′ = U 0..7 (six of attribute 0), R′ = V 200..203. V 0..119 each
+    // touch one of U 0..2, so the outside vertices that several members
+    // share, V 120..199, rank past the first 64-bit word.
+    var kept = 0; var rejected = 0
+    for (seed <- 0 until 20; prob <- Seq(0.2, 0.35)) {
+      val rng   = new scala.util.Random(seed)
+      val noise = (0 until 120).map(v => (v % 3, v))
+      val deep  = for (v <- 120 until 200; u <- 0 until 8 if rng.nextDouble() < prob) yield (u, v)
+      val core  = for (u <- 0 until 8; v <- 200 until 204) yield (u, v)
+      val attrV = Array.tabulate(204)(v => if (v < 200) rng.nextInt(2) else v % 2)
+      val g     = BipartiteGraph.fromEdges(8, 204, noise ++ deep ++ core,
+                                           Array(0, 0, 0, 0, 0, 0, 1, 1), attrV)
+      val ssfbc = Biclique(Vector.range(0, 8), Vector.range(200, 204))
+      for (delta <- Seq(0, 1, 2); theta <- Seq(None, Some(0.3), Some(0.4))) {
+        val p      = FairParams(1, 2, delta, theta.getOrElse(0.5))
+        val (k, r) = checkExpand(g, p, Seq(ssfbc), theta.nonEmpty, s"seed=$seed prob=$prob δ=$delta θ=$theta")
+        kept += k; rejected += r
+      }
+    }
+    assert(kept > 0 && rejected > 0, s"kept=$kept rejected=$rejected")
+  }
+
   test("phase-1 choices it cannot run are rejected, naming the phase 1") {
     val g = SynthBipartite.randomSmall(2, 6, 6, 0.6)
     val p = FairParams(1, 1, 1, theta = 0.3)

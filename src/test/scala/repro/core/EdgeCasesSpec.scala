@@ -75,8 +75,9 @@ class EdgeCasesSpec extends AnyFunSuite {
     for (seed <- 0 until 8) {
       val g = SynthBipartite.randomSmall(4300 + seed, 10, 12, 0.4)
       val p = FairParams(2, 2, 1)
-      val allAlive = FCore.Alive(Array.fill(g.nU)(true), Array.fill(g.nV)(true))
-      val unpruned = FairBCEM.enumerateOn(g, allAlive, p, VertexOrdering.DegOrd, naive = false)
+      val all      = g.compact(Array.fill(g.nU)(true), Array.fill(g.nV)(true))
+      val unpruned = new FairBCEM.Searcher(all.graph, all.uIds, all.vIds, p, naive = false, Long.MaxValue)
+        .enumerate(VertexOrdering.DegOrd)
       val pruned   = FairBCEM.enumerate(g, p)
       assert(unpruned.map(_.canonical).toSet == pruned.map(_.canonical).toSet, s"seed=$seed")
     }
@@ -86,8 +87,9 @@ class EdgeCasesSpec extends AnyFunSuite {
     for (seed <- 0 until 8) {
       val g = SynthBipartite.randomSmall(4400 + seed, 10, 12, 0.4)
       val p = FairParams(2, 2, 1)
-      val allAlive = FCore.Alive(Array.fill(g.nU)(true), Array.fill(g.nV)(true))
-      val unpruned = FairBCEMpp.enumerateOn(g, allAlive, p, VertexOrdering.DegOrd, proportional = false)
+      val all      = g.compact(Array.fill(g.nU)(true), Array.fill(g.nV)(true))
+      val unpruned = new FairBCEMpp.Searcher(all.graph, all.uIds, all.vIds, p, proportional = false)
+        .enumerate(VertexOrdering.DegOrd)
       assert(unpruned.map(_.canonical).toSet == FairBCEMpp.enumerate(g, p).map(_.canonical).toSet)
     }
   }

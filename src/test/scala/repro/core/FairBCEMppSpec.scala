@@ -54,8 +54,8 @@ class FairBCEMppSpec extends AnyFunSuite {
   }
 
   test("FairBCEM++ equals FairBCEM on the youtube-s analogue at (4,4,2)") {
-    // Most of its non-fair maximal bicliques have more than 64 neighbours
-    // outside L', so the N(r') = L' bitsets span several words.
+    // Some of its non-fair maximal bicliques have more than 64 outside
+    // neighbours in the filter's bitsets, so those span several words.
     val g = SynthBipartite.generate(SynthBipartite.youtubeS)
     val p = FairParams(4, 4, 2)
     for (ordering <- VertexOrdering.all) {
@@ -75,7 +75,9 @@ class FairBCEMppSpec extends AnyFunSuite {
     val mbs   = MBEA.enumerate(g, p.alpha, 0)
     for (proportional <- Seq(false, true)) {
       val exp = mbs.flatMap { mb =>
-        FairSet.maximalFairSubsets(mb.right, g.attrV, g.nAttrV, p.beta, p, proportional)
+        val byAttr = Array.tabulate(g.nAttrV)(a => mb.right.filter(g.attrV(_) == a).toArray)
+        (if (proportional) FairSet.combinationPro(byAttr, p.beta, p.delta, p.theta)
+         else FairSet.combination(byAttr, p.beta, p.delta))
           .filter(r => g.commonNeighborsOfV(r).toVector == mb.left)
           .map(r => Biclique(mb.left, r.toVector))
       }
@@ -107,7 +109,8 @@ class FairBCEMppSpec extends AnyFunSuite {
       val g0    = SynthBipartite.randomSmall(7000 + seed, 14, 16, 0.4)
       val p     = FairParams(2, 2, 1)
       val alive = CFCore.prune(g0, p.alpha, p.beta)
-      val exp   = asSet(FairBCEMpp.enumerateOn(g0.restrict(alive.u, alive.v), alive, p, ordering, proportional))
+      val c     = g0.restrict(alive.u, alive.v).compact(alive.u, alive.v)
+      val exp   = asSet(new FairBCEMpp.Searcher(c.graph, c.uIds, c.vIds, p, proportional).enumerate(ordering))
       val got   = asSet(new FairBCEMpp.Searcher(g0, alive, p, proportional).enumerate(ordering))
       assert(got == exp, s"seed=$seed ord=${ordering.name} proportional=$proportional")
     }

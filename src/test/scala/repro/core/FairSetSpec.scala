@@ -45,24 +45,6 @@ class FairSetSpec extends AnyFunSuite {
     for (n <- 0 to 12; k <- 0 to n) assert(FairSet.binomial(n, k) == FairSet.binomial(n, n - k))
   }
 
-  test("subsetsOfSize enumerates all k-subsets exactly once") {
-    val elems = Array(3, 7, 11, 19)
-    val got   = FairSet.subsetsOfSize(elems, 2).map(_.toSeq).toVector
-    assert(got.size == 6)
-    assert(got.distinct.size == 6)
-    assert(got.forall(_.size == 2))
-    assert(FairSet.subsetsOfSize(elems, 0).toVector.map(_.toSeq) == Vector(Seq()))
-    assert(FairSet.subsetsOfSize(elems, 4).size == 1)
-    assert(FairSet.subsetsOfSize(elems, 5).isEmpty)
-  }
-
-  test("subsetsOfSize count matches binomial for all (n, k) up to 9") {
-    for (n <- 0 to 9; k <- 0 to n) {
-      val elems = Array.range(0, n)
-      assert(BigInt(FairSet.subsetsOfSize(elems, k).size) == FairSet.binomial(n, k), s"n=$n k=$k")
-    }
-  }
-
   test("maximalProfile matches the paper formula") {
     assert(FairSet.maximalProfile(Array(5, 3), 1).toSeq == Seq(4, 3))
     assert(FairSet.maximalProfile(Array(10, 10), 2).toSeq == Seq(10, 10))
@@ -185,5 +167,12 @@ class FairSetSpec extends AnyFunSuite {
     // emitted, although the profile (10, 10) counts C(30,10)·C(15,10) ≈ 9e10.
     val gs = Array(Array.range(0, 30), Array.range(100, 115))
     assert(FairSet.combinationPro(gs, 1, 0, 0.6).isEmpty)
+  }
+
+  test("combinationPro refuses other than 2 classes, also when one is empty") {
+    for (gs <- Seq(Array(Array(1, 2), Array(3, 4), Array.empty[Int]), Array(Array(1, 2), Array(3, 4), Array(5, 6)))) {
+      val e = intercept[IllegalArgumentException](FairSet.combinationPro(gs, 1, 1, 0.3))
+      assert(e.getMessage.contains("2 attribute values"))
+    }
   }
 }

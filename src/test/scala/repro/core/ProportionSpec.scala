@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.bipartite.SynthBipartite
+import repro.graph.BipartiteGraph
 
 /** Differential tests of the proportional models: FairBCEMPro++ (PSSFBC)
   * and BFairBCEMPro++ (PBSFBC).
@@ -58,6 +59,32 @@ class ProportionSpec extends AnyFunSuite {
       for (bc <- FairBCEMpp.enumerate(g, p, proportional = true)) {
         assert(FairSet.isProportionFair(bc.right, g.attrV, g.nAttrV, p.beta, p.delta, p.theta))
       }
+    }
+  }
+
+  // K4,4 with a 3-valued side: first with one class empty, then with all
+  // three non-empty. Both are refused, whatever the search would meet.
+  private val complete = for (u <- 0 until 4; v <- 0 until 4) yield (u, v)
+  private val threeValued = Seq(Array(0, 0, 1, 1), Array(0, 1, 2, 2))
+
+  test("FairBCEMPro++ refuses a V side with other than 2 attribute values") {
+    for (attrV <- threeValued) {
+      val g = BipartiteGraph.fromEdges(4, 4, complete, Array(0, 1, 0, 1), attrV, nAttrV = 3)
+      val e = intercept[IllegalArgumentException](
+        FairBCEMpp.enumerate(g, FairParams(1, 1, 1, 0.3), proportional = true))
+      assert(e.getMessage.contains("2 attribute values"), attrV.mkString(","))
+    }
+  }
+
+  test("BFairBCEMPro++ refuses a side with other than 2 attribute values") {
+    for (attr <- threeValued; uSide <- Seq(true, false)) {
+      val two = Array(0, 1, 0, 1)
+      val g =
+        if (uSide) BipartiteGraph.fromEdges(4, 4, complete, attr, two, nAttrU = 3)
+        else BipartiteGraph.fromEdges(4, 4, complete, two, attr, nAttrV = 3)
+      val e = intercept[IllegalArgumentException](
+        BiFair.enumerate(g, FairParams(1, 1, 1, 0.3), proportional = true))
+      assert(e.getMessage.contains("2 attribute values"), s"uSide=$uSide ${attr.mkString(",")}")
     }
   }
 }

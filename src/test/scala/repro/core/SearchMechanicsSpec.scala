@@ -13,9 +13,8 @@ class SearchMechanicsSpec extends AnyFunSuite {
     for (seed <- 0 until 10) {
       val g = SynthBipartite.randomSmall(seed * 71, 10, 12, 0.4)
       val p = FairParams(2, 2, 1)
-      val alive    = CFCore.prune(g, p.alpha, p.beta)
-      val pruned   = g.restrict(alive.u, alive.v)
-      val searcher = new FairBCEM.Searcher(pruned, alive, p, naive = false)
+      val c        = CFCore.pruned(g, p.alpha, p.beta)
+      val searcher = new FairBCEM.Searcher(c.graph, c.uIds, c.vIds, p, naive = false, Long.MaxValue)
       val roots    = searcher.roots(VertexOrdering.DegOrd)
       val perRoot  = Vector.newBuilder[Biclique]
       // Shuffled root order must not change the union (independence).
@@ -32,9 +31,8 @@ class SearchMechanicsSpec extends AnyFunSuite {
     for (seed <- 0 until 10) {
       val g = SynthBipartite.randomSmall(seed * 73, 10, 12, 0.4)
       val p = FairParams(2, 2, 1)
-      val alive    = CFCore.prune(g, p.alpha, p.beta)
-      val pruned   = g.restrict(alive.u, alive.v)
-      val searcher = new FairBCEMpp.Searcher(pruned, alive, p, proportional = false)
+      val c        = CFCore.pruned(g, p.alpha, p.beta)
+      val searcher = new FairBCEMpp.Searcher(c.graph, c.uIds, c.vIds, p, proportional = false)
       val roots    = searcher.roots(VertexOrdering.DegOrd)
       val out      = Vector.newBuilder[Biclique]
       for (i <- roots.indices) searcher.runRoot(roots, i, out += _) // every root, no skips
@@ -47,21 +45,20 @@ class SearchMechanicsSpec extends AnyFunSuite {
   test("FairBCEM++ roots run concurrently on one searcher give the per-root union") {
     val g     = SynthBipartite.generate(SynthBipartite.youtubeS.copy(nU = 300, nV = 120, blocks = 10, noiseEdges = 500))
     val p     = FairParams(3, 2, 2)
-    val alive = CFCore.prune(g, p.alpha, p.beta)
-    val pruned = g.restrict(alive.u, alive.v)
+    val c     = CFCore.pruned(g, p.alpha, p.beta)
     def perRoot(searcher: FairBCEMpp.Searcher, roots: Array[Int], i: Int): Vector[Biclique] = {
       val out = Vector.newBuilder[Biclique]
       searcher.runRoot(roots, i, out += _)
       out.result()
     }
     val sequential = {
-      val s     = new FairBCEMpp.Searcher(pruned, alive, p, proportional = false)
+      val s     = new FairBCEMpp.Searcher(c.graph, c.uIds, c.vIds, p, proportional = false)
       val roots = s.roots(VertexOrdering.DegOrd)
       roots.indices.flatMap(perRoot(s, roots, _)).map(_.canonical)
     }
     assert(sequential.nonEmpty)
 
-    val shared = new FairBCEMpp.Searcher(pruned, alive, p, proportional = false)
+    val shared = new FairBCEMpp.Searcher(c.graph, c.uIds, c.vIds, p, proportional = false)
     val roots  = shared.roots(VertexOrdering.DegOrd)
     val pool   = java.util.concurrent.Executors.newFixedThreadPool(4)
     val got =

@@ -31,8 +31,8 @@ class DistEnumMoreSpec extends SparkSpec with TimeLimits {
       val df = GraphIO.toEdgeDF(spark, g).cache()
       val p  = FairParams(3, 2, 2)
       val exp = FairBCEMpp.enumerate(g, p).map(_.canonical).toSet
-      assert(resultSet(DistEnum.ssfbc(spark, df, p, plusPlus = true)) == exp)
-      assert(resultSet(DistEnum.ssfbc(spark, df, p, plusPlus = false)) == exp)
+      assert(resultSet(DistEnum.ssfbc(spark, df, p)) == exp)
+      assert(FairBCEM.enumerate(g, p).map(_.canonical).toSet == exp)
     }
   }
 

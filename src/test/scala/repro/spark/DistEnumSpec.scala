@@ -22,16 +22,10 @@ class DistEnumSpec extends SparkSpec {
     }.toSet
 
   test("distributed SSFBC (FairBCEM++) equals local enumeration") {
-    val got = resultSet(DistEnum.ssfbc(spark, df, p, plusPlus = true))
+    val got = resultSet(DistEnum.ssfbc(spark, df, p))
     val exp = FairBCEMpp.enumerate(g, p).map(_.canonical).toSet
     assert(got == exp, s"${got.size} vs ${exp.size}")
     assert(got.nonEmpty, "trivial test: no SSFBC found — regenerate config")
-  }
-
-  test("distributed SSFBC (FairBCEM) equals local enumeration") {
-    val got = resultSet(DistEnum.ssfbc(spark, df, p, plusPlus = false))
-    val exp = FairBCEM.enumerate(g, p).map(_.canonical).toSet
-    assert(got == exp)
   }
 
   test("distributed SSFBC with IDOrd equals DegOrd") {
