@@ -29,19 +29,29 @@ object DistFCore {
     */
   def fairCore(edges: DataFrame, alpha: Int, beta: Int, nAttrV: Int,
                maxRounds: Int = 1000): DataFrame =
-    peel(edges, maxRounds) { e =>
-      (classViolators(e, "u", "vval", beta, nAttrV),
-       e.groupBy("v").agg(count(lit(1)).as("c")).where(col("c") < alpha).select("v"))
-    }
+    peel(edges, maxRounds, 0L)(fair(alpha, beta, nAttrV))
 
   /** Bi-fair α-β core (Def 13): V-vertices are peeled on per-U-attribute
     * degree < α instead of total degree.
     */
   def biFairCore(edges: DataFrame, alpha: Int, beta: Int, nAttrU: Int, nAttrV: Int,
                  maxRounds: Int = 1000): DataFrame =
-    peel(edges, maxRounds) { e =>
-      (classViolators(e, "u", "vval", beta, nAttrV), classViolators(e, "v", "uval", alpha, nAttrU))
-    }
+    peel(edges, maxRounds, 0L)(biFair(alpha, beta, nAttrU, nAttrV))
+
+  /** The fair core (bi-fair when `bi`) peeled only until a round leaves at
+    * most `bound` edges: a superset of the core, which a local FCore/BFCore
+    * peel of the collected rows finishes exactly (DESIGN.md §2).
+    */
+  private[spark] def coreAtMost(edges: DataFrame, alpha: Int, beta: Int, bi: Boolean,
+                                nAttrU: Int, nAttrV: Int, bound: Long): DataFrame =
+    peel(edges, 1000, bound)(if (bi) biFair(alpha, beta, nAttrU, nAttrV) else fair(alpha, beta, nAttrV))
+
+  private def fair(alpha: Int, beta: Int, nAttrV: Int)(e: DataFrame): (DataFrame, DataFrame) =
+    (classViolators(e, "u", "vval", beta, nAttrV),
+     e.groupBy("v").agg(count(lit(1)).as("c")).where(col("c") < alpha).select("v"))
+
+  private def biFair(alpha: Int, beta: Int, nAttrU: Int, nAttrV: Int)(e: DataFrame): (DataFrame, DataFrame) =
+    (classViolators(e, "u", "vval", beta, nAttrV), classViolators(e, "v", "uval", alpha, nAttrU))
 
   /** Vertices of `side` with fewer than `k` edges into some class of `cls`.
     * A class with no edges at all counts as degree 0 — hence the class
@@ -61,10 +71,12 @@ object DistFCore {
   }
 
   /** Remove the violators `bad` finds, a round at a time, until a round
-    * removes nothing. Throws once `maxRounds` removal rounds leave
-    * violators behind: the pass after round `maxRounds` is the check.
+    * removes nothing or leaves at most `bound` edges. Throws once
+    * `maxRounds` removal rounds leave violators behind: the pass after
+    * round `maxRounds` is the check.
     */
-  private def peel(edges: DataFrame, maxRounds: Int)(bad: DataFrame => (DataFrame, DataFrame)): DataFrame = {
+  private def peel(edges: DataFrame, maxRounds: Int, bound: Long)
+                  (bad: DataFrame => (DataFrame, DataFrame)): DataFrame = {
     @annotation.tailrec
     def round(e: DataFrame, n: Long, rounds: Int): DataFrame = {
       val (badU, badV) = bad(e)
@@ -73,6 +85,7 @@ object DistFCore {
       if (kept == n) next
       else if (rounds == maxRounds)
         throw new IllegalStateException(s"DistFCore did not converge in $maxRounds rounds")
+      else if (kept <= bound) next
       else round(next, kept, rounds + 1)
     }
     val (e0, n0) = checkpointCounted(edges.select("u", "v", "uval", "vval"))

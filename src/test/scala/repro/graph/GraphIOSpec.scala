@@ -18,15 +18,39 @@ class GraphIOSpec extends SparkSpec {
     assert(row.getInt(2) == g.attrU(0))
   }
 
+  private lazy val edgeSet = (for { u <- 0 until g.nU; v <- g.adjU(u) } yield (u.toLong, v.toLong)).toSet
+
   test("toLocal round-trips the graph (vertices with edges)") {
-    val loc = GraphIO.toLocal(df)
-    val g2  = loc.graph
-    // Same edge set under the id mappings.
-    val e1 = (for { u <- 0 until g.nU; v <- g.adjU(u) } yield (u.toLong, v.toLong)).toSet
-    val e2 = (for { u <- 0 until g2.nU; v <- g2.adjU(u) } yield (loc.uIds(u), loc.vIds(v))).toSet
-    assert(e1 == e2)
-    for (u <- 0 until g2.nU) assert(g2.attrU(u) == g.attrU(loc.uIds(u).toInt))
-    for (v <- 0 until g2.nV) assert(g2.attrV(v) == g.attrV(loc.vIds(v).toInt))
+    // The doubled table checks that repeated rows collapse to one edge.
+    for (table <- Seq(df, df.union(df))) {
+      val loc = GraphIO.toLocal(table)
+      val g2  = loc.graph
+      // Same edge set under the id mappings, each edge once on both sides.
+      val e2 = (for { u <- 0 until g2.nU; v <- g2.adjU(u) } yield (loc.uIds(u), loc.vIds(v))).toSet
+      assert(edgeSet == e2)
+      assert(g2.numEdges == g.numEdges && g2.adjV.map(_.length.toLong).sum == g.numEdges)
+      for (v <- 0 until g2.nV) assert(g2.adjV(v).toSeq == (0 until g2.nU).filter(g2.hasEdge(_, v)))
+      for (u <- 0 until g2.nU) assert(g2.attrU(u) == g.attrU(loc.uIds(u).toInt))
+      for (v <- 0 until g2.nV) assert(g2.attrV(v) == g.attrV(loc.vIds(v).toInt))
+    }
+  }
+
+  test("collectAtMost returns every row up to maxRows and None above it") {
+    val n = g.numEdges
+    // All rows in one of four partitions: that partition is over its share
+    // of maxRows, so its rows come in a second job.
+    for (table <- Seq(df, df.repartition(4, lit(0)))) {
+      assert(GraphIO.collectAtMost(table, n - 1).isEmpty)
+      assert(GraphIO.collectAtMost(table, 0).isEmpty)
+      for (maxRows <- Seq(n, n + 1, Long.MaxValue)) {
+        val rows = GraphIO.collectAtMost(table, maxRows).get
+        assert(rows.size == n)
+        assert(rows.u.indices.map(i => (rows.u(i), rows.v(i))).toSet == edgeSet)
+        assert(rows.u.indices.forall(i => rows.uval(i) == g.attrU(rows.u(i).toInt) && rows.vval(i) == g.attrV(rows.v(i).toInt)))
+      }
+    }
+    val empty = spark.createDataFrame(spark.sparkContext.emptyRDD[org.apache.spark.sql.Row], GraphIO.edgeSchema)
+    assert(GraphIO.collectAtMost(empty, 0).get.size == 0)
   }
 
   private def edgeRows(rows: (Long, Long, Int, Int)*) =

@@ -65,6 +65,9 @@ class DistEnumMoreSpec extends SparkSpec with TimeLimits {
     val df = GraphIO.toEdgeDF(spark, g)
     assert(DistEnum.ssfbc(spark, df, FairParams(500, 2, 2)).count() == 0)
     assert(DistEnum.bsfbc(spark, df, FairParams(500, 500, 2)).count() == 0)
+    // Bound 0: the distributed peel empties the table before the collect.
+    assert(DistEnum.enumerate(spark, df, FairParams(500, 2, 2), VertexOrdering.DegOrd, bi = false, 2, 2, 0L).count() == 0)
+    assert(DistEnum.enumerate(spark, df, FairParams(500, 500, 2), VertexOrdering.DegOrd, bi = true, 2, 2, 0L).count() == 0)
   }
 
   test("an empty edge table gives empty frames without hanging") {
@@ -78,6 +81,8 @@ class DistEnumMoreSpec extends SparkSpec with TimeLimits {
       assert(DistFCore.biFairCore(df, 2, 2, 2, 2).count() == 0, kind)
       assert(DistEnum.ssfbc(spark, df, FairParams(2, 2, 2)).count() == 0, kind)
       assert(DistEnum.bsfbc(spark, df, FairParams(2, 2, 2)).count() == 0, kind)
+      for (bi <- Seq(false, true))
+        assert(DistEnum.enumerate(spark, df, FairParams(2, 2, 2), VertexOrdering.DegOrd, bi, 2, 2, 0L).count() == 0, kind)
     }
   }
 

@@ -4,7 +4,10 @@ import repro.{Oracle, SparkSpec}
 import repro.bipartite.SynthBipartite
 import repro.core._
 import repro.graph.GraphIO
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.functions._
+import org.scalatest.concurrent.Eventually._
+import org.scalatest.time.SpanSugar._
 
 /** End-to-end distributed enumeration vs the local algorithms, plus a
   * DuckDB edge-completeness check of the emitted bicliques.
@@ -35,11 +38,77 @@ class DistEnumSpec extends SparkSpec {
   }
 
   test("distributed BSFBC equals local BFairBCEM++") {
-    val pb  = FairParams(2, 2, 2)
     val got = resultSet(DistEnum.bsfbc(spark, df, pb))
     val exp = BiFair.enumerate(g, pb).map(_.canonical).toSet
     assert(got == exp, s"${got.size} vs ${exp.size}")
     assert(got.nonEmpty, "trivial test: no BSFBC found — regenerate config")
+  }
+
+  /** Bound 0, a bound that stops the distributed peel after its first
+    * round, and the default bound (the whole table at once), for SSFBC at
+    * `p` and BSFBC at `pb`.
+    */
+  private val pb = FairParams(2, 2, 2)
+  private def bounds(bi: Boolean): Seq[(String, Long)] = {
+    val (q, n) = (if (bi) pb else p, g.numEdges)
+    val core   = DistFCore.coreAtMost(df, q.alpha, q.beta, bi, 2, 2, 0L).count()
+    val first  = DistFCore.coreAtMost(df, q.alpha, q.beta, bi, 2, 2, n - 1).count()
+    assert(core < first && first < n, s"bi=$bi: the peel must take more than one round ($n → $first → … → $core)")
+    Seq("0" -> 0L, s"$first" -> first, "default" -> Long.MaxValue)
+  }
+
+  test("SSFBC and BSFBC equal local enumeration at bound 0, mid-peel and the default bound") {
+    for (bi <- Seq(false, true); (name, bound) <- bounds(bi)) {
+      val q   = if (bi) pb else p
+      val exp = (if (bi) BiFair.enumerate(g, q) else FairBCEMpp.enumerate(g, q)).map(_.canonical).toSet
+      val got = resultSet(
+        if (name == "default") (if (bi) DistEnum.bsfbc(spark, df, q) else DistEnum.ssfbc(spark, df, q))
+        else DistEnum.enumerate(spark, df, q, VertexOrdering.DegOrd, bi, 2, 2, bound))
+      assert(got == exp, s"bi=$bi bound=$name: ${got.size} vs ${exp.size}")
+    }
+  }
+
+  test("the searched graph is the local CFCore/BCFCore graph at every bound") {
+    // Peeling any superset of the fair core reaches the same core, so the
+    // driver's graph must not depend on where the distributed peel stopped.
+    for (bi <- Seq(false, true); (name, bound) <- bounds(bi)) {
+      val q = if (bi) pb else p
+      val c = if (bi) CFCore.biPruned(g, q.alpha, q.beta) else CFCore.pruned(g, q.alpha, q.beta)
+      val (h, uIds, vIds) = DistEnum.prune(df, q, bi, 2, 2, bound)
+      val sameIds = uIds.sameElements(c.uIds.map(_.toLong)) && vIds.sameElements(c.vIds.map(_.toLong))
+      assert(sameIds, s"bi=$bi bound=$name: ${uIds.length}×${vIds.length} vs ${c.uIds.length}×${c.vIds.length}")
+      val sameEdges = h.adjU.map(_.toSeq).toSeq == c.graph.adjU.map(_.toSeq).toSeq
+      assert(sameEdges, s"bi=$bi bound=$name")
+      assert(h.nU > 0, s"trivial test: bi=$bi pruned everything")
+    }
+  }
+
+  test("the default bound collects a small table in one job, with no DistFCore round") {
+    val sc   = spark.sparkContext
+    val tags = new java.util.concurrent.ConcurrentLinkedQueue[String]
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        Option(e.properties).flatMap(p => Option(p.getProperty("repro.test"))).foreach(tags.add)
+    }
+    sc.addSparkListener(listener)
+    try {
+      df.count()
+      sc.setLocalProperty("repro.test", "ssfbc")
+      DistEnum.ssfbc(spark, df, p)
+      sc.setLocalProperty("repro.test", "bsfbc")
+      DistEnum.bsfbc(spark, df, pb)
+      // Listener events arrive in order: once the marker job is seen, so
+      // are all the jobs before it.
+      sc.setLocalProperty("repro.test", "marker")
+      sc.parallelize(Seq(1), 1).count()
+      eventually(timeout(30.seconds))(assert(tags.contains("marker")))
+      val perCall = scala.jdk.CollectionConverters.IteratorHasAsScala(tags.iterator).asScala.toSeq
+        .groupBy(identity).map { case (k, v) => k -> v.size }
+      assert(perCall == Map("ssfbc" -> 1, "bsfbc" -> 1, "marker" -> 1))
+    } finally {
+      sc.setLocalProperty("repro.test", null)
+      sc.removeSparkListener(listener)
+    }
   }
 
   test("results stay distributed and repeat across actions") {
