@@ -30,9 +30,8 @@ object BiFair {
                 timeoutMs: Long = 0): Vector[Biclique] = {
     require(!proportional || phase1 == UseFairBCEMpp,
       s"the proportional model (BFairBCEMPro++) needs phase 1 UseFairBCEMpp, not $phase1")
-    require(!proportional || (g0.nAttrU == 2 && g0.nAttrV == 2),
-      s"BFairBCEMPro++: proportional models are implemented for 2 attribute values per side, " +
-      s"not ${g0.nAttrU} and ${g0.nAttrV}")
+    val onU = p.onU(g0, proportional)
+    val onV = p.onV(g0, proportional)
     require(timeoutMs <= 0 || phase1 != UseFairBCEMpp, s"phase 1 $phase1 takes no time budget")
     val c = CFCore.biPruned(g0, p.alpha, p.beta)
     val h = c.graph
@@ -44,15 +43,9 @@ object BiFair {
       case UseFairBCEMpp => new FairBCEMpp.Searcher(h, null, null, p, proportional)
     }
     val out = Vector.newBuilder[Biclique]
-    ssfbcs.enumerate(ordering, b => expandLeft(h, c.uIds, c.vIds, p, b, proportional, out += _))
+    ssfbcs.enumerate(ordering, b => expandLeft(h, c.uIds, c.vIds, onU, onV, b, out += _))
     out.result()
   }
-
-  /** `enumerate` that returns None instead of throwing on timeout. */
-  def enumerateOpt(g0: BipartiteGraph, p: FairParams, ordering: VertexOrdering,
-                   phase1: Phase1, timeoutMs: Long): Option[Vector[Biclique]] =
-    try Some(enumerate(g0, p, ordering, phase1, proportional = false, timeoutMs))
-    catch { case _: FairBCEM.SearchTimeout => None }
 
   /** Lines 4-8 of Alg 9 for one single-side fair biclique of `g`, in the
     * ids of `g`. Exposed so `DistEnum` can run phase 2 as a Spark flatMap over
@@ -61,7 +54,7 @@ object BiFair {
   def expandLeft(g: BipartiteGraph, p: FairParams, ssfbc: Biclique,
                  proportional: Boolean): Vector[Biclique] = {
     val out = Vector.newBuilder[Biclique]
-    expandLeft(g, null, null, p, ssfbc, proportional, out += _)
+    expandLeft(g, null, null, p.onU(g, proportional), p.onV(g, proportional), ssfbc, out += _)
     out.result()
   }
 
@@ -74,8 +67,8 @@ object BiFair {
     * count-level check (MFSCheck) only asks which classes of those have a
     * member: elements of one class are interchangeable.
     */
-  private def expandLeft(g: BipartiteGraph, uIds: Array[Int], vIds: Array[Int], p: FairParams,
-                         ssfbc: Biclique, proportional: Boolean, out: Biclique => Unit): Unit = {
+  private def expandLeft(g: BipartiteGraph, uIds: Array[Int], vIds: Array[Int], onU: Fairness, onV: Fairness,
+                         ssfbc: Biclique, out: Biclique => Unit): Unit = {
     val ls = ssfbc.left.toArray
     val rs = ssfbc.right.toArray
     java.util.Arrays.sort(ls)
@@ -83,14 +76,10 @@ object BiFair {
     val rCounts = FairSet.counts(rs, g.attrV, g.nAttrV)
     lazy val right = Vector.tabulate(rs.length)(i => RootSearch.id(vIds, rs(i)))
     // L′ is on the V side of the transpose.
-    FairSet.combinationOutside(g.transpose, ls, rs, p.alpha, p, proportional) { (walk, hit) =>
+    FairSet.combinationOutside(g.transpose, ls, rs, onU) { (walk, hit) =>
       val nlCounts = Array.tabulate(g.nAttrV)(a => rCounts(a) + (if (hit(a)) 1 else 0))
-      val ok =
-        if (proportional)
-          FairSet.isMaximalProportionFairSubsetCounts(nlCounts, rCounts, p.beta, p.delta, p.theta)
-        else
-          FairSet.isMaximalFairSubsetCounts(nlCounts, rCounts, p.beta, p.delta)
-      if (ok) out(Biclique(Vector.tabulate(walk.size)(d => RootSearch.id(uIds, walk.member(d))), right))
+      if (onV.isMaximal(nlCounts, rCounts))
+        out(Biclique(Vector.tabulate(walk.size)(d => RootSearch.id(uIds, walk.member(d))), right))
     }
   }
 }

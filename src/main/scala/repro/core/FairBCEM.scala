@@ -29,12 +29,6 @@ object FairBCEM {
     new Searcher(c.graph, c.uIds, c.vIds, p, naive, deadline(timeoutMs)).enumerate(ordering)
   }
 
-  /** `enumerate` that returns None instead of throwing on timeout. */
-  def enumerateOpt(g0: BipartiteGraph, p: FairParams, ordering: VertexOrdering,
-                   naive: Boolean, timeoutMs: Long): Option[Vector[Biclique]] =
-    try Some(enumerate(g0, p, ordering, naive, timeoutMs))
-    catch { case _: SearchTimeout => None }
-
   /** The `System.nanoTime` deadline of a budget of `timeoutMs` (0: none). */
   private[core] def deadline(timeoutMs: Long): Long =
     if (timeoutMs <= 0) Long.MaxValue else System.nanoTime() + timeoutMs * 1000000L

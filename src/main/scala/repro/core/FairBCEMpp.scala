@@ -37,15 +37,10 @@ object FairBCEMpp {
     def this(g: BipartiteGraph, alive: FCore.Alive, p: FairParams, proportional: Boolean) =
       this(g.compact(alive.u, alive.v), p, proportional)
 
-    require(!proportional || g.nAttrV == 2,
-      s"FairBCEMPro++: proportional models are implemented for 2 attribute values, not ${g.nAttrV}")
+    private val fair = p.onV(g, proportional)
 
-    protected def atMaximal(l1: Array[Int], r1: List[Int], rc1: Array[Int], out: Biclique => Unit): Unit = {
-      val fair =
-        if (proportional) FairSet.isProportionFairCounts(rc1, p.beta, p.delta, p.theta)
-        else FairSet.isFairCounts(rc1, p.beta, p.delta)
-      if (fair) out(biclique(l1, r1)) else emitFairSubsets(l1, r1, out)
-    }
+    protected def atMaximal(l1: Array[Int], r1: List[Int], rc1: Array[Int], out: Biclique => Unit): Unit =
+      if (fair.isFair(rc1)) out(biclique(l1, r1)) else emitFairSubsets(l1, r1, out)
 
     protected def canGrow(rc1: Array[Int], ids: Array[Int], from: Int, to: Int): Boolean = {
       val potential = rc1.clone()
@@ -63,7 +58,7 @@ object FairBCEMpp {
       val rs = r1.toArray
       java.util.Arrays.sort(rs)
       lazy val left = Vector.tabulate(l1.length)(i => outU(l1(i)))
-      FairSet.combinationOutside(g, rs, l1, p.beta, p, proportional) { (walk, hit) =>
+      FairSet.combinationOutside(g, rs, l1, fair) { (walk, hit) =>
         if (!hit.contains(true)) out(Biclique(left, Vector.tabulate(walk.size)(d => outV(walk.member(d)))))
       }
     }

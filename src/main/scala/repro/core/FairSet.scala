@@ -10,7 +10,8 @@ import repro.graph.{BipartiteGraph, SortedOps}
   * `c(a) ≥ k` and every pairwise difference `|c(a) - c(b)| ≤ δ`. Elements of
   * the same attribute class are interchangeable for fairness, so all checks
   * reduce to count profiles. Every `Combination` entry point runs one
-  * walk (`Walk`) that emits each maximal fair subset once, sorted.
+  * walk (`Walk`) that emits each maximal fair subset once, sorted. The
+  * searches reach these predicates through one `Fairness` model per side.
   */
 object FairSet {
 
@@ -33,8 +34,9 @@ object FairSet {
 
   /** Proportion-fair predicate (Defs 5-6 condition 3 on top of fairness). */
   def isProportionFairCounts(c: Array[Int], k: Int, delta: Int, theta: Double): Boolean = {
-    val tot = c.sum
-    isFairCounts(c, k, delta) && tot > 0 && c.forall(_.toDouble / tot >= theta - 1e-12)
+    var tot = 0; var mn = Int.MaxValue; var i = 0
+    while (i < c.length) { tot += c(i); if (c(i) < mn) mn = c(i); i += 1 }
+    isFairCounts(c, k, delta) && tot > 0 && mn.toDouble / tot >= theta - 1e-12
   }
 
   def isProportionFair(set: IterableOnce[Int], attr: Int => Int, nAttr: Int, k: Int,
@@ -60,21 +62,18 @@ object FairSet {
     isMaximalFairSubsetCounts(counts(s, attr, nAttr), counts(shat, attr, nAttr), k, delta)
 
   /** Proportional analogue of `MFSCheck` (used by BFairBCEMPro++): maximal
-    * among proportion-fair subsets. Requires two attribute classes (the
-    * paper's setting) — single-element-addition completeness is only proved
-    * for that case.
+    * among proportion-fair subsets. Two attribute classes only (see
+    * `Fairness`).
     */
   def isMaximalProportionFairSubsetCounts(sCounts: Array[Int], shatCounts: Array[Int],
-                                          k: Int, delta: Int, theta: Double): Boolean = {
-    require(sCounts.length == 2, "proportional models are implemented for 2 attribute values")
-    isMaximalUnder(sCounts, shatCounts, isProportionFairCounts(_, k, delta, theta))
-  }
+                                          k: Int, delta: Int, theta: Double): Boolean =
+    Fairness(sCounts.length, k, delta, proportional = true, theta).isMaximal(sCounts, shatCounts)
 
   /** The body of both MFSChecks: `shatCounts` satisfies `fair`, and adding
     * one leftover element of some class, or one of every class, does not.
     */
-  private def isMaximalUnder(sCounts: Array[Int], shatCounts: Array[Int],
-                             fair: Array[Int] => Boolean): Boolean = {
+  private[core] def isMaximalUnder(sCounts: Array[Int], shatCounts: Array[Int],
+                                   fair: Array[Int] => Boolean): Boolean = {
     if (!fair(shatCounts)) return false
     val leftover = Array.tabulate(sCounts.length)(a => sCounts(a) - shatCounts(a))
     require(leftover.forall(_ >= 0), "shat is not a subset of s")
@@ -129,7 +128,7 @@ object FairSet {
     * more than `MaxCombinationsPerBiclique`.
     */
   def combination(elemsByAttr: Array[Array[Int]], k: Int, delta: Int): Iterator[Array[Int]] =
-    grouped(elemsByAttr, k, delta, None)
+    grouped(elemsByAttr, Fairness(elemsByAttr.length, k, delta, proportional = false, theta = 0))
 
   /** `CombinationPro`: maximal *proportion*-fair subsets. Two-attribute
     * setting only; the emitted profile always satisfies the ratio bound
@@ -137,42 +136,34 @@ object FairSet {
     */
   def combinationPro(elemsByAttr: Array[Array[Int]], k: Int, delta: Int,
                      theta: Double): Iterator[Array[Int]] =
-    grouped(elemsByAttr, k, delta, Some(theta))
+    grouped(elemsByAttr, Fairness(elemsByAttr.length, k, delta, proportional = true, theta))
 
   /** The walk over the elements of `elemsByAttr` in ascending id order. */
-  private def grouped(elemsByAttr: Array[Array[Int]], k: Int, delta: Int,
-                      theta: Option[Double]): Iterator[Array[Int]] = {
+  private def grouped(elemsByAttr: Array[Array[Int]], fair: Fairness): Iterator[Array[Int]] = {
     // (id, class) packed so that one primitive sort orders by id.
     val keys = elemsByAttr.indices.toArray.flatMap(a => elemsByAttr(a).map(v => (v.toLong << 32) | a))
     java.util.Arrays.sort(keys)
-    iterator(walk(keys.map(x => (x >> 32).toInt), keys.map(_.toInt), elemsByAttr.length, k, delta, theta))
+    iterator(walk(keys.map(x => (x >> 32).toInt), keys.map(_.toInt), fair))
   }
 
-  /** The guards of every `Combination` (`CombinationPro` when `theta` is
-    * given): two classes for `CombinationPro`, class sizes, profile,
-    * explosion; then the `Walk` over
-    * `members` (ascending) with classes `cls`, or null when there is
-    * nothing to emit. A proportional profile that is not itself
-    * proportion-fair (θ > 0.5) emits nothing, so it is never refused as an
-    * explosion.
+  /** The `Walk` over `members` (ascending) with classes `cls` that emits
+    * the maximal subsets of `fair` (Alg 7 or `CombinationPro`), or null
+    * when there is nothing to emit; throws on a Combination explosion.
     */
-  private[core] def walk(members: Array[Int], cls: Array[Int], nAttr: Int, k: Int, delta: Int,
-                         theta: Option[Double]): Walk = {
-    require(theta.isEmpty || nAttr == 2, "proportional models are implemented for 2 attribute values")
-    val n = new Array[Int](nAttr)
+  private[core] def walk(members: Array[Int], cls: Array[Int], fair: Fairness): Walk = {
+    val n = new Array[Int](fair.nAttr)
     cls.foreach(a => n(a) += 1)
-    if (n.exists(_ < k) || n.exists(_ == 0)) return null
-    val profile = theta.fold(maximalProfile(n, delta))(maximalProfilePro(n, delta, _))
-    if (theta.exists(t => !isProportionFairCounts(profile, k, delta, t))) return null
+    val profile = fair.profile(n)
+    if (profile == null) return null
     val count = combinationCount(n, profile)
     require(count <= MaxCombinationsPerBiclique,
       s"Combination explosion: $count candidate subsets in one set " +
-      s"(classes ${n.mkString("x")}, δ=$delta); choose stricter parameters")
+      s"(classes ${n.mkString("x")}, δ=${fair.delta}); choose stricter parameters")
     new Walk(members, cls, profile)
   }
 
   /** Alg 7 over the V vertices `members` of `g` (ascending, classes by
-    * `attrV`; `CombinationPro` when `proportional`) with the outside
+    * `attrV`; `CombinationPro` when `fair` is proportional) with the outside
     * neighbours of each subset: `emit(w, hit)` runs once per maximal fair
     * subset, in `Walk` order, with `w` at that subset and `hit(a)` true iff
     * some U vertex of attribute `a` outside `base` (sorted) is adjacent to
@@ -188,11 +179,9 @@ object FairSet {
     * walk changed. Once a prefix's AND is empty, every completion hits
     * nothing with no further test.
     */
-  private[core] def combinationOutside(g: BipartiteGraph, members: Array[Int], base: Array[Int], k: Int,
-                                       p: FairParams, proportional: Boolean)
+  private[core] def combinationOutside(g: BipartiteGraph, members: Array[Int], base: Array[Int], fair: Fairness)
                                       (emit: (Walk, Array[Boolean]) => Unit): Unit = {
-    val walk = FairSet.walk(members, members.map(g.attrV), g.nAttrV, k, p.delta,
-                            if (proportional) Some(p.theta) else None)
+    val walk = FairSet.walk(members, members.map(g.attrV), fair)
     if (walk == null) return
 
     // A vertex common to a subset is next to `size` members, so next to one

@@ -1,5 +1,7 @@
 package repro.core
 
+import repro.graph.BipartiteGraph
+
 /** Thresholds of the fair biclique models (Defs 3-6).
   *
   * @param alpha minimum upper-side size (SSFBC) / per-attribute minimum on U (BSFBC)
@@ -10,6 +12,14 @@ package repro.core
 final case class FairParams(alpha: Int, beta: Int, delta: Int, theta: Double = 0.4) {
   require(alpha >= 0 && beta >= 0 && delta >= 0, s"negative threshold in $this")
   require(theta > 0.0 && theta <= 0.5, s"theta must be in (0, 0.5], got $theta")
+
+  /** The fairness model of V in `g`: per-class minimum β. Throws for
+    * `proportional` unless V has 2 attribute values.
+    */
+  def onV(g: BipartiteGraph, proportional: Boolean): Fairness = Fairness(g.nAttrV, beta, delta, proportional, theta)
+
+  /** The fairness model of U in `g`: per-class minimum α (the bi-side models). */
+  def onU(g: BipartiteGraph, proportional: Boolean): Fairness = Fairness(g.nAttrU, alpha, delta, proportional, theta)
 }
 
 /** Vertex selection order of the branch-and-bound search (Exp-2/3, Table II). */

@@ -26,7 +26,7 @@ object Experiments {
       nU = 300, nV = 150, blocks = 8, blockVMin = 5, blockVMax = 8, noiseEdges = 500))
     val p = FairParams(3, 2, 2)
     FairBCEM.enumerate(g, p)
-    FairBCEM.enumerateOpt(g, p, VertexOrdering.DegOrd, naive = true, timeoutMs = 2000)
+    try FairBCEM.enumerate(g, p, naive = true, timeoutMs = 2000) catch { case _: FairBCEM.SearchTimeout => }
     FairBCEMpp.enumerate(g, p)
     FairBCEMpp.enumerate(g, p.copy(theta = 0.4), proportional = true)
     BiFair.enumerate(g, FairParams(2, 2, 2), phase1 = BiFair.UseFairBCEM)

@@ -173,16 +173,44 @@ object BipartiteGraph {
     require(attrV.length == nV, s"attrV size ${attrV.length} != nV $nV")
     for ((side, attr, nAttr) <- Seq(("U", attrU, nAttrU), ("V", attrV, nAttrV)); i <- attr.indices)
       require(attr(i) >= 0 && attr(i) < nAttr, s"$side vertex $i has attribute ${attr(i)} outside 0 until $nAttr")
-    val bU = Array.fill(nU)(new scala.collection.mutable.ArrayBuffer[Int]())
-    val bV = Array.fill(nV)(new scala.collection.mutable.ArrayBuffer[Int]())
+    val keys = Array.newBuilder[Long]
     for ((u, v) <- edges) {
       require(u >= 0 && u < nU && v >= 0 && v < nV, s"edge ($u,$v) out of range")
-      bU(u) += v
-      bV(v) += u
+      keys += u.toLong << 32 | v
     }
-    val aU = bU.map(_.distinct.sorted.toArray)
-    val aV = bV.map(_.distinct.sorted.toArray)
-    new BipartiteGraph(aU, aV, attrU, attrV, nAttrU, nAttrV)
+    fromKeys(nU, nV, keys.result(), attrU, attrV, nAttrU, nAttrV)
+  }
+
+  /** The graph whose edges are `keys`, edge (u, v) as the key u·2^32 + v,
+    * in any order and with repeats. Sorted, the distinct keys list adjU in
+    * order, and a stable pass over them fills every adjV list in order.
+    */
+  private[graph] def fromKeys(nU: Int, nV: Int, keys: Array[Long], attrU: Array[Int], attrV: Array[Int],
+                              nAttrU: Int, nAttrV: Int): BipartiteGraph = {
+    val edges = sortedDistinct(keys)
+    val us    = edges.map(k => (k >>> 32).toInt)
+    val vs    = edges.map(_.toInt)
+    new BipartiteGraph(lists(nU, us, vs), lists(nV, vs, us), attrU, attrV, nAttrU, nAttrV)
+  }
+
+  /** `xs` sorted, without repeats. */
+  private[graph] def sortedDistinct(xs: Array[Long]): Array[Long] = {
+    val s = xs.clone()
+    java.util.Arrays.sort(s)
+    var n = 0; var i = 0
+    while (i < s.length) { if (n == 0 || s(i) != s(n - 1)) { s(n) = s(i); n += 1 }; i += 1 }
+    java.util.Arrays.copyOf(s, n)
+  }
+
+  /** `n` lists, list `x` holding the `to(i)` with `from(i) == x` in order of `i`. */
+  private def lists(n: Int, from: Array[Int], to: Array[Int]): Array[Array[Int]] = {
+    val deg = new Array[Int](n)
+    from.foreach(deg(_) += 1)
+    val out = Array.tabulate(n)(x => new Array[Int](deg(x)))
+    java.util.Arrays.fill(deg, 0)
+    var i = 0
+    while (i < from.length) { val x = from(i); out(x)(deg(x)) = to(i); deg(x) += 1; i += 1 }
+    out
   }
 }
 

@@ -99,8 +99,8 @@ object GraphIO {
     *         attribute, or an attribute lies outside `0 until nAttr*`.
     */
   def build(rows: EdgeRows, nAttrU: Int = 2, nAttrV: Int = 2): Localized = {
-    val uIds = sortedDistinct(rows.u)
-    val vIds = sortedDistinct(rows.v)
+    val uIds = BipartiteGraph.sortedDistinct(rows.u)
+    val vIds = BipartiteGraph.sortedDistinct(rows.v)
     val attrU = Array.fill(uIds.length)(-1)
     val attrV = Array.fill(vIds.length)(-1)
     def setAttr(side: String, attr: Array[Int], i: Int, id: Long, a: Int, nAttr: Int): Unit = {
@@ -108,8 +108,6 @@ object GraphIO {
       require(attr(i) < 0 || attr(i) == a, s"$side vertex $id has conflicting attributes ${attr(i)} and $a")
       attr(i) = a
     }
-    // Edge (ui, vi) as the key ui·2^32 + vi: sorted, the keys list adjU in
-    // order, and a stable pass over them fills every adjV list in order.
     val keys = new Array[Long](rows.size)
     var i = 0
     while (i < keys.length) {
@@ -120,30 +118,6 @@ object GraphIO {
       keys(i) = ui.toLong << 32 | vi
       i += 1
     }
-    val edges = sortedDistinct(keys)
-    val us    = edges.map(k => (k >>> 32).toInt)
-    val vs    = edges.map(_.toInt)
-    Localized(new BipartiteGraph(lists(uIds.length, us, vs), lists(vIds.length, vs, us), attrU, attrV, nAttrU, nAttrV),
-              uIds, vIds)
-  }
-
-  /** `xs` sorted, without repeats. */
-  private def sortedDistinct(xs: Array[Long]): Array[Long] = {
-    val s = xs.clone()
-    java.util.Arrays.sort(s)
-    var n = 0; var i = 0
-    while (i < s.length) { if (n == 0 || s(i) != s(n - 1)) { s(n) = s(i); n += 1 }; i += 1 }
-    java.util.Arrays.copyOf(s, n)
-  }
-
-  /** `n` lists, list `x` holding the `to(i)` with `from(i) == x` in order of `i`. */
-  private def lists(n: Int, from: Array[Int], to: Array[Int]): Array[Array[Int]] = {
-    val deg = new Array[Int](n)
-    from.foreach(deg(_) += 1)
-    val out = Array.tabulate(n)(x => new Array[Int](deg(x)))
-    java.util.Arrays.fill(deg, 0)
-    var i = 0
-    while (i < from.length) { val x = from(i); out(x)(deg(x)) = to(i); deg(x) += 1; i += 1 }
-    out
+    Localized(BipartiteGraph.fromKeys(uIds.length, vIds.length, keys, attrU, attrV, nAttrU, nAttrV), uIds, vIds)
   }
 }

@@ -192,8 +192,6 @@ class BiFairSpec extends AnyFunSuite {
     // FairBCEM++ has no deadline to give the budget to.
     val e = intercept[IllegalArgumentException](BiFair.enumerate(g, p, phase1 = BiFair.UseFairBCEMpp, timeoutMs = 60000))
     assert(e.getMessage.contains("UseFairBCEMpp"))
-    intercept[IllegalArgumentException](
-      BiFair.enumerateOpt(g, p, VertexOrdering.DegOrd, BiFair.UseFairBCEMpp, timeoutMs = 60000))
   }
 
   test("hand-worked: two disjoint 2x2 blocks with balanced attributes") {

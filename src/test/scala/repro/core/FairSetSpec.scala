@@ -130,6 +130,20 @@ class FairSetSpec extends AnyFunSuite {
     })
   }
 
+  test("proportional MFSCheck agrees with definitional maximality (2 classes)") {
+    for (n0 <- 0 to 5; n1 <- 0 to 5; k <- 0 to 2; delta <- 0 to 2; theta <- Seq(0.2, 0.3, 0.4, 0.5)) {
+      val gs      = groups(n0, n1)
+      val all     = gs.flatten
+      val model   = Fairness(2, k, delta, proportional = true, theta)
+      val maximal = BruteForce.maximalProportionFairSubsets(gs, k, delta, theta)
+      for (mask <- 0 until (1 << all.length)) {
+        val s = all.indices.filter(i => (mask & (1 << i)) != 0).map(all).toSet
+        assert(model.isMaximal(Array(n0, n1), Array(s.count(_ < 100), s.count(_ >= 100))) == maximal.contains(s),
+          s"sizes ($n0, $n1) k=$k δ=$delta θ=$theta subset $s")
+      }
+    }
+  }
+
   test("MFSCheck three classes, exhausted middle class") {
     // classes sizes (3,1,3); shat = one of each, delta=1, k=1
     val gs   = Array(Array(0, 1, 2), Array(10), Array(20, 21, 22))

@@ -75,20 +75,21 @@ class SearchMechanicsSpec extends AnyFunSuite {
     assert(got.size == sequential.size)
   }
 
-  test("timeout: tiny budget returns None, generous budget returns the full set") {
+  test("timeout: tiny budget throws, generous budget returns the full set") {
     val g = SynthBipartite.generate(SynthBipartite.youtubeS.copy(nU = 600, nV = 300, blocks = 20, noiseEdges = 1500))
     val p = FairParams(3, 2, 2)
     // Naive search on this graph cannot finish in 1ms.
-    assert(FairBCEM.enumerateOpt(g, p, VertexOrdering.DegOrd, naive = true, timeoutMs = 1).isEmpty)
-    val full = FairBCEM.enumerateOpt(g, p, VertexOrdering.DegOrd, naive = false, timeoutMs = 600000)
+    intercept[FairBCEM.SearchTimeout](FairBCEM.enumerate(g, p, VertexOrdering.DegOrd, naive = true, timeoutMs = 1))
+    val full = FairBCEM.enumerate(g, p, VertexOrdering.DegOrd, naive = false, timeoutMs = 600000)
     assert(full.nonEmpty)
-    assert(full.get.map(_.canonical).toSet == FairBCEM.enumerate(g, p).map(_.canonical).toSet)
+    assert(full.map(_.canonical).toSet == FairBCEM.enumerate(g, p).map(_.canonical).toSet)
   }
 
   test("BiFair timeout propagates through the NSF phase") {
     val g = SynthBipartite.generate(SynthBipartite.youtubeS.copy(nU = 600, nV = 300, blocks = 20, noiseEdges = 1500))
     val p = FairParams(2, 2, 2)
-    assert(BiFair.enumerateOpt(g, p, VertexOrdering.DegOrd, BiFair.UseNSF, timeoutMs = 1).isEmpty)
+    intercept[FairBCEM.SearchTimeout](
+      BiFair.enumerate(g, p, VertexOrdering.DegOrd, BiFair.UseNSF, timeoutMs = 1))
   }
 
   test("orderings: DegOrd sorts by non-increasing degree, IDOrd by id") {
